@@ -221,6 +221,13 @@ def _require(value: Any, cls: type, step: ConstructionStep, name: str) -> Any:
     return value
 
 
+def _no_intersection(step: ConstructionStep) -> GeometricFailureError:
+    return GeometricFailureError(
+        f"step {step.output!r}: circle {step.inputs[0]!r} and line "
+        f"{step.inputs[1]!r} do not intersect"
+    )
+
+
 def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
     if step.op is StepOp.EXTEND:
         through, frm, p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
@@ -239,10 +246,7 @@ def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
         line = _require(args[1], Line, step, step.inputs[1])
         points = intersect_circle_line(circle, line)
         if not points:
-            raise GeometricFailureError(
-                f"step {step.output!r}: circle {step.inputs[0]!r} and line "
-                f"{step.inputs[1]!r} do not intersect"
-            )
+            raise _no_intersection(step)
         return points[-1].with_label(step.output)
     # MARK_SEGMENT
     p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
@@ -275,6 +279,19 @@ def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     coordinates, bit for bit.
     """
     return {name: value for name, value in _execute(trace).items() if isinstance(value, Point)}
+
+
+def _rect_base(kind: ApplicationKind, base_L: float, lam: float | None, height: Any) -> Any:
+    """The applied rectangle's base b = L, L - lam*y, or L + lam*y.
+
+    Plain arithmetic, so ``height`` may be a float or a numpy array.
+    """
+    if kind is ApplicationKind.EXACT:
+        return base_L
+    assert lam is not None
+    if kind is ApplicationKind.DEFICIENT:
+        return base_L - lam * height
+    return base_L + lam * height
 
 
 @dataclass(frozen=True)
@@ -319,12 +336,7 @@ class ApplicationSpec:
     @property
     def rect_base(self) -> float:
         """Base length of the applied rectangle (b = L, L - lam*y, or L + lam*y)."""
-        if self.kind is ApplicationKind.EXACT:
-            return self.base_L
-        assert self.lam is not None
-        if self.kind is ApplicationKind.DEFICIENT:
-            return self.base_L - self.lam * self.height_y
-        return self.base_L + self.lam * self.height_y
+        return _rect_base(self.kind, self.base_L, self.lam, self.height_y)
 
 
 @dataclass(frozen=True)
@@ -364,21 +376,31 @@ def _base_corner_label(kind: ApplicationKind) -> str:
     return "B" + _CORNER_SUFFIX[kind]
 
 
+def _given_coordinates(
+    kind: ApplicationKind, base_L: float, lam: float | None, height: Any
+) -> dict[str, tuple[Any, Any]]:
+    """The given configuration: segment AB plus the applied rectangle corners.
+
+    Maps each label to its (x, y); ``height`` may be a float or a numpy
+    array, and the constant coordinates stay scalars.
+    """
+    coords = {
+        "A": (0.0, 0.0),
+        "B": (base_L, 0.0),
+        "C": (base_L, height),
+        "D": (0.0, height),
+    }
+    if kind is not ApplicationKind.EXACT:
+        suffix = _CORNER_SUFFIX[kind]
+        b = _rect_base(kind, base_L, lam, height)
+        coords["B" + suffix] = (b, 0.0)
+        coords["C" + suffix] = (b, height)
+    return coords
+
+
 def _given_points(spec: ApplicationSpec) -> tuple[Point, ...]:
-    """The given configuration: segment AB plus the applied rectangle corners."""
-    base_l, height = spec.base_L, spec.height_y
-    points = [
-        Point(0.0, 0.0, "A"),
-        Point(base_l, 0.0, "B"),
-        Point(base_l, height, "C"),
-        Point(0.0, height, "D"),
-    ]
-    if spec.kind is not ApplicationKind.EXACT:
-        suffix = _CORNER_SUFFIX[spec.kind]
-        b = spec.rect_base
-        points.append(Point(b, 0.0, "B" + suffix))
-        points.append(Point(b, height, "C" + suffix))
-    return tuple(points)
+    coords = _given_coordinates(spec.kind, spec.base_L, spec.lam, spec.height_y)
+    return tuple(Point(x, y, label) for label, (x, y) in coords.items())
 
 
 def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
@@ -411,8 +433,12 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
+# The step program of each kind, built and validated once.
+_STEPS = {kind: _construction_steps(_base_corner_label(kind)) for kind in ApplicationKind}
+
+
 def _run_application(spec: ApplicationSpec) -> ApplicationResult:
-    trace = ConstructionTrace(_given_points(spec), _construction_steps(_base_corner_label(spec.kind)))
+    trace = ConstructionTrace(_given_points(spec), _STEPS[spec.kind])
     env = _execute(trace)
     points = {name: value for name, value in env.items() if isinstance(value, Point)}
     square_side = distance(points["A"], points["G"])

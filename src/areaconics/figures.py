@@ -21,12 +21,14 @@ from xml.sax.saxutils import escape
 from .constructions import (
     ApplicationKind,
     ApplicationResult,
+    _rect_base,
     apply_deficient,
     apply_exact,
     apply_excess,
 )
 from .kernel import Circle, Point, Segment, distance
 from .locus import (
+    _APPLICATION_KIND,
     Branch,
     ConicKind,
     ConicSpec,
@@ -199,15 +201,6 @@ def scene_from_application(result: ApplicationResult) -> Scene:
     return Scene(tuple(prims))
 
 
-def _rect_base_at(kind: ConicKind, base_L: float, lam: float | None, height: float) -> float:
-    if kind is ConicKind.PARABOLA:
-        return base_L
-    assert lam is not None
-    if kind is ConicKind.ELLIPSE:
-        return base_L - lam * height
-    return base_L + lam * height
-
-
 def _clip_line_to_box(
     anchor: tuple[float, float],
     direction: tuple[float, float],
@@ -261,7 +254,7 @@ def scene_from_locus(points: list[LocusPoint], spec: ConicSpec) -> Scene:
             height = p.y
             base_line_y = 0.0
             down = 1.0
-        b = _rect_base_at(spec.kind, base_L, lam, height)
+        b = _rect_base(_APPLICATION_KIND[spec.kind], base_L, lam, height)
         sign = 1.0 if p.x > 0.0 else -1.0
         reach = max(b, abs(p.x))
         prims.append(

@@ -184,7 +184,9 @@ def intersect_circle_line(
     t0 = cx * ux + cy * uy
     foot_x = line.anchor.x + t0 * ux
     foot_y = line.anchor.y + t0 * uy
-    h2 = (circle.center.x - foot_x) ** 2 + (circle.center.y - foot_y) ** 2
+    hx, hy = circle.center.x - foot_x, circle.center.y - foot_y
+    # x*x is the correctly rounded square; x ** 2 goes through libm pow.
+    h2 = hx * hx + hy * hy
     r2 = circle.radius * circle.radius
     gap = r2 - h2
     band = max(tol.eps_abs, tol.eps_rel * r2)

@@ -26,7 +26,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .constructions import apply_deficient, apply_exact, apply_excess
+from ._batched import distance, execute_batched, given_points
+from .constructions import _STEPS, ApplicationKind, ApplicationSpec
 from .kernel import Point
 
 __all__ = [
@@ -50,6 +51,10 @@ __all__ = [
 ]
 
 
+# Heights per run of the batched step program: memory stays flat in n.
+_BLOCK = 1024
+
+
 class LocusError(ValueError):
     """Invalid locus parameters or data."""
 
@@ -62,6 +67,13 @@ class ConicKind(Enum):
     PARABOLA = "parabola"
     ELLIPSE = "ellipse"
     HYPERBOLA = "hyperbola"
+
+
+_APPLICATION_KIND = {
+    ConicKind.PARABOLA: ApplicationKind.EXACT,
+    ConicKind.ELLIPSE: ApplicationKind.DEFICIENT,
+    ConicKind.HYPERBOLA: ApplicationKind.EXCESS,
+}
 
 
 class Branch(Enum):
@@ -132,8 +144,12 @@ def sample_locus(
 ) -> list[LocusPoint]:
     """Trace the locus by running the matching construction at each height.
 
-    Heights are uniform on the range. Every point is read off the
-    constructed intersection J, not evaluated from a formula. For the
+    Heights are uniform on the range. Each point's x is the square side
+    |AG| measured off the constructed G, not evaluated from a formula;
+    its y is the input height. The construction's step program runs once
+    per block of heights over arrays, and reproduces the per-height
+    ``apply_*`` results bit for bit, failures included: an invalid height
+    raises what ``apply_*`` raises at the first failing height. For the
     hyperbola the result also contains the lower-branch reflections
     across the conjugate axis, appended after the upper block; each
     block is ordered by ascending y.
@@ -153,17 +169,19 @@ def sample_locus(
                 f"ellipse heights must stay below L/lambda = {base_L / lam}: "
                 "the deficiency would consume the whole base"
             )
+    heights = sample_range.heights()
+    # The heights ascend from y_min > 0 to y_max, inside the bounds checked
+    # above, so the application's checks pass at every height if they pass
+    # at the first (an infinite y_max makes every height but the last NaN).
+    spec = ApplicationSpec(_APPLICATION_KIND[kind], base_L, heights[0], lam)
+    steps = _STEPS[spec.kind]
     uppers: list[LocusPoint] = []
-    for height in sample_range.heights():
-        if kind is ConicKind.PARABOLA:
-            result = apply_exact(base_L, height)
-        elif kind is ConicKind.ELLIPSE:
-            assert lam is not None
-            result = apply_deficient(base_L, lam, height)
-        else:
-            assert lam is not None
-            result = apply_excess(base_L, lam, height)
-        uppers.append(LocusPoint(result.square_side_g, height, Branch.UPPER))
+    for start in range(0, len(heights), _BLOCK):
+        block = heights[start : start + _BLOCK]
+        given = given_points(spec.kind, spec.base_L, spec.lam, np.array(block))
+        env = execute_batched(steps, given)
+        sides = distance(env["A"], env["G"]).tolist()
+        uppers += [LocusPoint(x, y, Branch.UPPER) for x, y in zip(sides, block)]
     if kind is not ConicKind.HYPERBOLA:
         return uppers
     assert lam is not None

@@ -1,0 +1,248 @@
+"""The batched step interpreter against the scalar one, bit for bit."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from areaconics._batched import execute_batched
+from areaconics.constructions import (
+    _STEPS,
+    ApplicationKind,
+    ConstructionStep,
+    ConstructionTrace,
+    StepOp,
+    _given_coordinates,
+    apply_deficient,
+    apply_exact,
+    apply_excess,
+    replay_trace,
+)
+from areaconics.kernel import GeometryError, Point
+from areaconics.locus import _APPLICATION_KIND, ConicKind, SampleRange, sample_locus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def apply(kind, base, lam, height):
+    if kind is ConicKind.PARABOLA:
+        return apply_exact(base, height)
+    if kind is ConicKind.ELLIPSE:
+        return apply_deficient(base, lam, height)
+    return apply_excess(base, lam, height)
+
+
+def bits(x, y):
+    return float(x).hex(), float(y).hex()
+
+
+def assert_same_error(raised, expected):
+    assert type(raised) is type(expected)
+    assert str(raised) == str(expected)
+
+
+def assert_parity(steps, given):
+    """``execute_batched`` over all rows equals ``replay_trace`` row by row.
+
+    ``given`` maps each label to its per-row x and y lists. Either every
+    labelled point matches bit for bit, or both raise the error of the
+    first failing row.
+    """
+    rows = len(next(iter(given.values()))[0])
+    try:
+        expected = [
+            replay_trace(
+                ConstructionTrace(tuple(Point(xs[i], ys[i], label) for label, (xs, ys) in given.items()), steps)
+            )
+            for i in range(rows)
+        ]
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as caught:
+            execute_batched(steps, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
+        assert_same_error(caught.value, exc)
+        return
+    env = execute_batched(steps, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
+    for i, points in enumerate(expected):
+        for label, p in points.items():
+            assert bits(env[label][0][i], env[label][1][i]) == bits(p.x, p.y), (i, label)
+
+
+def companion_square(kind, base, lam, heights):
+    """The given points of ``kind`` at each height, with no validation."""
+    rows = [_given_coordinates(kind, base, lam, y) for y in heights]
+    return {label: ([r[label][0] for r in rows], [r[label][1] for r in rows]) for label in rows[0]}
+
+
+@st.composite
+def sweeps(draw):
+    """A conic and a height range inside its valid range, L in [1e-6, 1e6].
+
+    Heights reach down to 1e-9 of the scale, into the kernel's tangent
+    snap, where some applications raise.
+    """
+    kind = draw(st.sampled_from(list(ConicKind)))
+    base = 10.0 ** draw(st.floats(-6.0, 6.0))
+    lam = None if kind is ConicKind.PARABOLA else 10.0 ** draw(st.floats(-1.0, 1.0))
+    top = base / lam if kind is ConicKind.ELLIPSE else 10.0 * base
+    low, high = sorted(draw(st.floats(-9.0, -1e-3)) for _ in range(2))
+    y_min, y_max = top * 10.0**low, top * 10.0**high
+    if not y_min < y_max:
+        y_max = y_min * 2.0 if kind is not ConicKind.ELLIPSE else math.nextafter(y_min, math.inf)
+    return kind, base, lam, SampleRange(y_min, y_max, draw(st.integers(2, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweeps())
+@example((ConicKind.PARABOLA, 1.0, None, SampleRange(1e-7, 2e-7, 2)))
+@example((ConicKind.ELLIPSE, 1e-6, 1.0, SampleRange(2.5e-7, 5e-7, 2)))
+@example((ConicKind.HYPERBOLA, 1e-6, 10.0, SampleRange(1e-15, 1e-5, 5)))
+# Heights where squaring by ``** 2`` (libm pow) misrounds the square of G's offset.
+@example((ConicKind.PARABOLA, 0.36, None, SampleRange(0.0424, 0.0848, 2)))
+@example((ConicKind.HYPERBOLA, 1.251, 1.321, SampleRange(0.5825, 1.0, 2)))
+def test_batched_sweep_equals_per_height_applications(case):
+    kind, base, lam, sample_range = case
+    heights = sample_range.heights()
+    # Every labelled point of the batched run, against apply_* one height at a time.
+    assert_parity(_STEPS[_APPLICATION_KIND[kind]], companion_square(_APPLICATION_KIND[kind], base, lam, heights))
+    try:
+        sides = [apply(kind, base, lam, y).square_side_g for y in heights]
+    except ValueError as exc:
+        with pytest.raises(type(exc)) as caught:
+            sample_locus(kind, base, sample_range, lam)
+        assert_same_error(caught.value, exc)
+        return
+    uppers = sample_locus(kind, base, sample_range, lam)[: len(heights)]
+    assert [bits(p.x, p.y) for p in uppers] == [bits(g, y) for g, y in zip(sides, heights)]
+
+
+def test_extension_error_matches_per_height_application():
+    with pytest.raises(GeometryError) as expected:
+        apply_deficient(1e-6, 1, 2.5e-7)
+    assert str(expected.value) == "extension distance must be positive, got 0.0"
+    with pytest.raises(GeometryError) as caught:
+        sample_locus(ConicKind.ELLIPSE, 1e-6, SampleRange(2.5e-7, 5e-7, 2), lam=1)
+    assert_same_error(caught.value, expected.value)
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, sample_range",
+    [
+        # An infinite top height makes every other height NaN.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(1.0, math.inf, 3)),
+        (ConicKind.PARABOLA, math.inf, None, SampleRange(1.0, 2.0, 3)),
+        (ConicKind.HYPERBOLA, 1.0, 1e308, SampleRange(1.0, 2.0, 2)),
+    ],
+)
+def test_sample_locus_raises_the_first_failing_applications_error(kind, base, lam, sample_range):
+    with pytest.raises(ValueError) as expected:
+        for y in sample_range.heights():
+            apply(kind, base, lam, y)
+    with pytest.raises(ValueError) as caught:
+        sample_locus(kind, base, sample_range, lam)
+    assert_same_error(caught.value, expected.value)
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, heights",
+    [
+        # B coincides with A: the ray beyond A is undefined.
+        (ApplicationKind.EXACT, 0.0, None, [1.0]),
+        # The second height fails at the first step.
+        (ApplicationKind.EXACT, 1.0, None, [1.0, 0.0, 2.0]),
+        # The second height's given point is not finite; the third fails later.
+        (ApplicationKind.EXACT, 1.0, None, [1.0, math.inf, 0.0]),
+        # The third height fails on its given point, checked first, but the
+        # second fails at a later step and comes first.
+        (ApplicationKind.EXACT, 1.0, None, [2.0, 0.0, math.nan]),
+        # The first height's squared radius overflows into a tangent snap
+        # and a zero extension; the second's corner B+ is infinite.
+        (ApplicationKind.EXCESS, 1.0, 1e308, [1.0, 2.0]),
+        # A negative applied base puts B- behind A.
+        (ApplicationKind.DEFICIENT, 1.0, 1.0, [0.25, 2.0, 3.0]),
+        (ApplicationKind.EXACT, 1e300, None, [1e300, 1e-300]),
+        (ApplicationKind.EXACT, math.inf, None, [1.0]),
+    ],
+)
+def test_invalid_heights_raise_the_first_failing_heights_error(kind, base, lam, heights):
+    assert_parity(_STEPS[kind], companion_square(kind, base, lam, heights))
+
+
+def step(op, inputs, output):
+    return ConstructionStep(op, inputs, output, "I.1")
+
+
+@pytest.mark.parametrize(
+    "steps, given",
+    [
+        # P is off the line AB, the second time only.
+        (
+            (step(StepOp.ERECT_PERPENDICULAR, ("P", "A", "B"), "l"),),
+            {"A": ([0.0, 0.0], [0.0, 0.0]), "B": ([1.0, 1.0], [0.0, 0.0]), "P": ([0.5, 0.5], [0.0, 1e-3])},
+        ),
+        # A circle of radius |AA| = 0.
+        (
+            (step(StepOp.DESCRIBE_CIRCLE, ("A", "A", "A"), "c"),),
+            {"A": ([0.0, 1.0], [0.0, 1.0])},
+        ),
+        # The circle about P misses the line AB, the second time only.
+        (
+            (
+                step(StepOp.DESCRIBE_CIRCLE, ("P", "A", "B"), "c"),
+                step(StepOp.ERECT_PERPENDICULAR, ("A", "A", "B"), "l"),
+                step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X"),
+            ),
+            {"A": ([0.0, 0.0], [0.0, 0.0]), "B": ([1.0, 1.0], [0.0, 0.0]), "P": ([0.5, 1.5], [0.0, 0.0])},
+        ),
+        # The midpoint overflows.
+        (
+            (step(StepOp.BISECT, ("A", "B"), "M"),),
+            {"A": ([1.0, 1e308], [0.0, 0.0]), "B": ([3.0, 1e308], [0.0, 0.0])},
+        ),
+        # Secants: the higher point by (y, x) wins, on either side of the foot.
+        (
+            (
+                step(StepOp.DESCRIBE_CIRCLE, ("P", "A", "B"), "c"),
+                step(StepOp.ERECT_PERPENDICULAR, ("A", "A", "B"), "l"),
+                step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X"),
+                step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "Y"),
+                step(StepOp.MARK_SEGMENT, ("X", "P"), "s"),
+            ),
+            {
+                "A": ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+                "B": ([1.0, 0.0, -1.0], [0.0, 1.0, 0.0]),
+                "P": ([0.25, 0.0, 0.0], [0.0, 0.5, 0.0]),
+            },
+        ),
+    ],
+)
+def test_step_failures_match_the_scalar_kernel(steps, given):
+    assert_parity(steps, given)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    name = "benchmark_workloads"
+    spec = importlib.util.spec_from_file_location(name, ROOT / "benchmarks" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    # Its dataclasses look their module up while the class is built.
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+        yield module
+    finally:
+        del sys.modules[name]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_benchmark_sweep_and_construct_checks_pass(workloads, seed):
+    """The benchmark's own checks on one sweep cycle and one round of constructions."""
+    for name, ops in (("sweep", None), ("construct", 3)):
+        workload = workloads.make(name, seed, "smoke", ROOT)
+        for _ in range(ops or workload.cycle):
+            op = workload.next_input()
+            workload.check(op.args, workload.run(op.args))
