@@ -6,8 +6,8 @@ per coordinate, with one entry per height, and each step runs once over
 all of them. The array primitives repeat the scalar kernel's formulas
 operation for operation, so every entry equals, bit for bit, what
 ``constructions._execute`` computes for that height alone. They also
-repeat the kernel's checks: a failure raises the exception, class and
-message, that the scalar path raises at the first failing height.
+repeat the kernel's checks, but only to find where a run fails: the
+error itself comes from the scalar path (see ``execute_batched``).
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
@@ -23,11 +23,12 @@ import numpy as np
 from .constructions import (
     ApplicationKind,
     ConstructionStep,
+    ConstructionTrace,
     StepOp,
+    _execute,
     _given_coordinates,
-    _no_intersection,
 )
-from .kernel import DEFAULT_TOLERANCE, DegenerateRayError, GeometryError, OffLineError, Tolerance
+from .kernel import DEFAULT_TOLERANCE, Point
 
 # A point is its (x, y) coordinate arrays; a circle is (center, radius);
 # a line is (anchor, (ux, uy)) with a unit direction.
@@ -39,40 +40,29 @@ Lines = tuple[Points, tuple[np.ndarray, np.ndarray]]
 class _Failure(Exception):
     """A check failed; ``index`` is the first failing height of this run."""
 
-    def __init__(self, index: int, error: Exception) -> None:
-        super().__init__(index, error)
+    def __init__(self, index: int) -> None:
+        super().__init__(index)
         self.index = index
-        self.error = error
 
 
-def _check(bad: np.ndarray, error: Callable[[int], Exception]) -> None:
+def _check(bad: np.ndarray) -> None:
     if bad.any():
-        index = int(np.argmax(bad))
-        raise _Failure(index, error(index))
+        raise _Failure(int(np.argmax(bad)))
 
 
 def _point(x: np.ndarray, y: np.ndarray, where: Any = True) -> Points:
     """``Point``'s finite check, on the heights selected by ``where``."""
-    _check(
-        where & ~(np.isfinite(x) & np.isfinite(y)),
-        lambda i: ValueError(f"point coordinates must be finite, got ({float(x[i])}, {float(y[i])})"),
-    )
+    _check(where & ~(np.isfinite(x) & np.isfinite(y)))
     return x, y
 
 
 def _circle(center: Points, radius: np.ndarray) -> Circles:
-    _check(
-        ~(np.isfinite(radius) & (radius > 0.0)),
-        lambda i: ValueError(f"circle radius must be positive, got {float(radius[i])}"),
-    )
+    _check(~(np.isfinite(radius) & (radius > 0.0)))
     return center, radius
 
 
 def _line(anchor: Points, ux: np.ndarray, uy: np.ndarray) -> Lines:
-    _check(
-        np.abs(np.hypot(ux, uy) - 1.0) > 1e-9,
-        lambda i: ValueError(f"line direction must be a unit vector, got {(float(ux[i]), float(uy[i]))}"),
-    )
+    _check(np.abs(np.hypot(ux, uy) - 1.0) > 1e-9)
     return anchor, (ux, uy)
 
 
@@ -85,38 +75,30 @@ def midpoint(p: Points, q: Points) -> Points:
 
 
 def extend_along_ray(through: Points, frm: Points, dist: np.ndarray) -> Points:
-    _check(
-        ~(dist > 0.0),
-        lambda i: GeometryError(f"extension distance must be positive, got {float(dist[i])}"),
-    )
+    _check(~(dist > 0.0))
     dx, dy = through[0] - frm[0], through[1] - frm[1]
     norm = np.hypot(dx, dy)
-    _check(norm == 0.0, lambda i: DegenerateRayError("ray through coincident points is undefined"))
+    _check(norm == 0.0)
     return _point(through[0] + dist * dx / norm, through[1] + dist * dy / norm)
 
 
 def line_through(p: Points, q: Points) -> Lines:
     dx, dy = q[0] - p[0], q[1] - p[1]
     norm = np.hypot(dx, dy)
-    _check(norm == 0.0, lambda i: DegenerateRayError("cannot draw a line through coincident points"))
+    _check(norm == 0.0)
     return _line(p, dx / norm, dy / norm)
 
 
-def erect_perpendicular(at: Points, base: Lines, tol: Tolerance = DEFAULT_TOLERANCE) -> Lines:
+def erect_perpendicular(at: Points, base: Lines) -> Lines:
     (ax, ay), (ux, uy) = base
     off_x, off_y = at[0] - ax, at[1] - ay
     off = np.abs(off_x * uy - off_y * ux)
     span = np.maximum(1.0, np.hypot(off_x, off_y))
-    _check(
-        off > np.maximum(tol.eps_abs, tol.eps_rel * span),
-        lambda i: OffLineError(f"point ({float(at[0][i])}, {float(at[1][i])}) does not lie on the base line"),
-    )
+    _check(off > np.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * span))
     return _line(at, -uy, ux)
 
 
-def intersect_circle_line(
-    circle: Circles, line: Lines, tol: Tolerance = DEFAULT_TOLERANCE
-) -> tuple[Points, np.ndarray]:
+def intersect_circle_line(circle: Circles, line: Lines) -> tuple[Points, np.ndarray]:
     """The highest intersection by (y, x), and where the two do not meet.
 
     The entries of the point where they do not meet are meaningless.
@@ -131,7 +113,7 @@ def intersect_circle_line(
     h2 = hx * hx + hy * hy
     r2 = radius * radius
     gap = r2 - h2
-    band = np.maximum(tol.eps_abs, tol.eps_rel * r2)
+    band = np.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * r2)
     missed = gap < -band
     tangent = ~missed & (gap <= band)
     secant = ~missed & ~tangent
@@ -161,7 +143,7 @@ def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
         return erect_perpendicular(at, line_through(p, q))
     if op is StepOp.INTERSECT_CIRCLE_LINE:
         point, missed = intersect_circle_line(*args)
-        _check(missed, lambda i: _no_intersection(step))
+        _check(missed)
         return point
     # MARK_SEGMENT
     return tuple(args)
@@ -177,19 +159,21 @@ def _run(steps: tuple[ConstructionStep, ...], given: dict[str, Points]) -> dict[
 def execute_batched(steps: tuple[ConstructionStep, ...], given: dict[str, Points]) -> dict[str, Any]:
     """Run a step program over arrays of given points, one entry per height.
 
-    Returns every labelled entity; a point is its (x, y) arrays. A check
-    that fails at height i may hide an earlier height that fails at a
-    later step, so the heights before i run again first: the error raised
-    is that of the first failing height. Each rerun passes every check up
-    to the one that failed, so there are fewer reruns than checks.
+    Returns every labelled entity; a point is its (x, y) arrays. The
+    array checks only find the first height i that fails a check; an
+    earlier height may still fail at a later step. So on a failure the
+    scalar ``_execute`` runs heights 0..i one at a time, and raises the
+    first failing height's error, class and message, by construction.
     """
     try:
         with np.errstate(all="ignore"):
             return _run(steps, given)
     except _Failure as failure:
-        stop = failure.index
-        execute_batched(steps, {label: (x[:stop], y[:stop]) for label, (x, y) in given.items()})
-        raise failure.error from None
+        failing = failure.index
+    for i in range(failing + 1):
+        initial = tuple(Point(float(x[i]), float(y[i]), label) for label, (x, y) in given.items())
+        _execute(ConstructionTrace(initial, steps))
+    raise AssertionError(f"height {failing} failed a batched check but passes the scalar construction")
 
 
 def given_points(

@@ -221,13 +221,6 @@ def _require(value: Any, cls: type, step: ConstructionStep, name: str) -> Any:
     return value
 
 
-def _no_intersection(step: ConstructionStep) -> GeometricFailureError:
-    return GeometricFailureError(
-        f"step {step.output!r}: circle {step.inputs[0]!r} and line "
-        f"{step.inputs[1]!r} do not intersect"
-    )
-
-
 def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
     if step.op is StepOp.EXTEND:
         through, frm, p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
@@ -246,7 +239,10 @@ def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
         line = _require(args[1], Line, step, step.inputs[1])
         points = intersect_circle_line(circle, line)
         if not points:
-            raise _no_intersection(step)
+            raise GeometricFailureError(
+                f"step {step.output!r}: circle {step.inputs[0]!r} and line "
+                f"{step.inputs[1]!r} do not intersect"
+            )
         return points[-1].with_label(step.output)
     # MARK_SEGMENT
     p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))

@@ -172,7 +172,8 @@ def sample_locus(
     heights = sample_range.heights()
     # The heights ascend from y_min > 0 to y_max, inside the bounds checked
     # above, so the application's checks pass at every height if they pass
-    # at the first (an infinite y_max makes every height but the last NaN).
+    # at the first (an infinite y_max makes the first height NaN, which the
+    # spec rejects).
     spec = ApplicationSpec(_APPLICATION_KIND[kind], base_L, heights[0], lam)
     steps = _STEPS[spec.kind]
     uppers: list[LocusPoint] = []
