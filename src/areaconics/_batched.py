@@ -62,7 +62,7 @@ def _circle(center: Points, radius: np.ndarray) -> Circles:
 
 
 def _line(anchor: Points, ux: np.ndarray, uy: np.ndarray) -> Lines:
-    _check(np.abs(np.hypot(ux, uy) - 1.0) > 1e-9)
+    _check(~(np.abs(np.hypot(ux, uy) - 1.0) <= 1e-9))
     return anchor, (ux, uy)
 
 
@@ -94,7 +94,7 @@ def erect_perpendicular(at: Points, base: Lines) -> Lines:
     off_x, off_y = at[0] - ax, at[1] - ay
     off = np.abs(off_x * uy - off_y * ux)
     span = np.maximum(1.0, np.hypot(off_x, off_y))
-    _check(off > np.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * span))
+    _check(~(off <= np.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * span)))
     return _line(at, -uy, ux)
 
 

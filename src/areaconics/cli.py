@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .constructions import ApplicationKind, apply_deficient, apply_exact, apply_excess, solve_height_for_area
+from .constructions import ApplicationKind, ApplicationSpec, _run_application, solve_height_for_area
 from .figures import standard_figure, render_svg, scene_from_application
 from .locus import (
     ConicKind,
@@ -127,13 +127,7 @@ def _emit(document: dict) -> None:
 
 def _cmd_construct(args: argparse.Namespace) -> int:
     _check_lambda(args.kind, args.lam)
-    kind = ApplicationKind(args.kind)
-    if kind is ApplicationKind.EXACT:
-        result = apply_exact(args.base, args.height)
-    elif kind is ApplicationKind.DEFICIENT:
-        result = apply_deficient(args.base, args.lam, args.height)
-    else:
-        result = apply_excess(args.base, args.lam, args.height)
+    result = _run_application(ApplicationSpec(ApplicationKind(args.kind), args.base, args.height, args.lam))
     if args.trace is not None:
         Path(args.trace).write_text(result.trace.to_json(indent=2) + "\n", encoding="utf-8")
     if args.svg is not None:

@@ -9,18 +9,19 @@ extend the base beyond A by the rectangle height, bisect the extended
 span, and intersect the semicircle over it with the perpendicular at A.
 The square side g then satisfies
 
-    g**2 = b * y      with b = L, L - lambda*y, or L + lambda*y,
+    g**2 = b * y      with b = L + k*y and k = 0, -lambda, or +lambda,
 
-and the rectangle and square boundaries meet at J = (g, y). Each
-construction is recorded as an ordered list of proposition-cited steps
-(a trace) that can be serialized to JSON and replayed bit-exactly.
+so the three applications are one family, g**2 = L*y + k*y**2
+(``AreaFamily``). The rectangle and square boundaries meet at J = (g, y).
+Each construction is recorded as an ordered list of proposition-cited
+steps (a trace) that can be serialized to JSON and replayed bit-exactly.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
@@ -277,17 +278,75 @@ def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     return {name: value for name, value in _execute(trace).items() if isinstance(value, Point)}
 
 
-def _rect_base(kind: ApplicationKind, base_L: float, lam: float | None, height: Any) -> Any:
-    """The applied rectangle's base b = L, L - lam*y, or L + lam*y.
-
-    Plain arithmetic, so ``height`` may be a float or a numpy array.
-    """
+def _excess_coefficient(kind: ApplicationKind, lam: float | None) -> float:
+    """k of x**2 = L*y + k*y**2: 0 (exact), -lam (deficient) or +lam (excess)."""
     if kind is ApplicationKind.EXACT:
-        return base_L
+        return 0.0
     assert lam is not None
-    if kind is ApplicationKind.DEFICIENT:
-        return base_L - lam * height
-    return base_L + lam * height
+    return -lam if kind is ApplicationKind.DEFICIENT else lam
+
+
+def _rect_base(base_L: float, k: float, height: Any) -> Any:
+    """The applied rectangle's base b = L + k*y.
+
+    Plain arithmetic, so ``height`` may be a float or a numpy array. At
+    k = 0 the base is L itself, even at an infinite height (0*inf is nan).
+    """
+    return base_L if k == 0.0 else base_L + k * height
+
+
+# The label suffix of the applied rectangle's corners B and C.
+_CORNER_SUFFIX = {ApplicationKind.EXACT: "", ApplicationKind.DEFICIENT: "⁻", ApplicationKind.EXCESS: "⁺"}
+
+
+@dataclass(frozen=True)
+class AreaFamily:
+    """The relation x**2 = L*y + k*y**2 shared by the three applications.
+
+    An application of kind ``kind`` over a base of length L applies, at
+    height y, a rectangle of base b = L + k*y, with k = 0 for the exact
+    application, -lambda for the deficient one and +lambda for the
+    excessive one (Euclid VI.28-29); as y sweeps, the companion square's
+    side x = g traces the parabola, ellipse or hyperbola (Apollonius,
+    Conics I.11-13). Building the value validates L and lambda.
+    """
+
+    kind: ApplicationKind
+    base_L: float
+    lam: float | None = None
+    k: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "base_L", float(self.base_L))
+        if self.lam is not None:
+            object.__setattr__(self, "lam", float(self.lam))
+        if not (self.base_L > 0.0):
+            raise ConstructionError(f"base length must be positive, got {self.base_L}")
+        if self.kind is ApplicationKind.EXACT:
+            if self.lam is not None:
+                raise ConstructionError("an exact application takes no aspect ratio")
+        elif self.lam is None:
+            raise ConstructionError(f"{self.kind.value} applications require the aspect ratio lambda")
+        elif not (self.lam > 0.0):
+            raise ConstructionError(f"aspect ratio must be positive, got {self.lam}")
+        object.__setattr__(self, "k", _excess_coefficient(self.kind, self.lam))
+
+    @property
+    def corner_suffix(self) -> str:
+        """Suffix of the applied corners' labels: "" (B, C), "⁻" or "⁺"."""
+        return _CORNER_SUFFIX[self.kind]
+
+    def rect_base(self, height: Any) -> Any:
+        """b = L + k*y, for a float or a numpy array of heights."""
+        return _rect_base(self.base_L, self.k, height)
+
+    def reflect(self, y: float) -> float:
+        """The height mirrored across the conjugate axis y = -L/(2k): -L/k - y.
+
+        Only the excessive family (k > 0, the hyperbola) has a second
+        branch there; for the others ``y`` comes back unchanged.
+        """
+        return -self.base_L / self.k - y if self.k > 0.0 else y
 
 
 @dataclass(frozen=True)
@@ -297,42 +356,34 @@ class ApplicationSpec:
     ``lam`` is the aspect ratio (horizontal side / vertical side) of the
     reference rectangle governing the deficiency or excess; it must be
     absent for the exact kind, where no reference rectangle exists.
+    ``family`` is the validated area family of ``kind``, L and lam.
     """
 
     kind: ApplicationKind
     base_L: float
     height_y: float
     lam: float | None = None
+    family: AreaFamily = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "base_L", float(self.base_L))
+        family = AreaFamily(self.kind, self.base_L, self.lam)
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "base_L", family.base_L)
+        object.__setattr__(self, "lam", family.lam)
         object.__setattr__(self, "height_y", float(self.height_y))
-        if self.lam is not None:
-            object.__setattr__(self, "lam", float(self.lam))
-        if not (self.base_L > 0.0):
-            raise ConstructionError(f"base length must be positive, got {self.base_L}")
         if not (self.height_y > 0.0):
             raise ConstructionError(f"rectangle height must be positive, got {self.height_y}")
-        if self.kind is ApplicationKind.EXACT:
-            if self.lam is not None:
-                raise ConstructionError("an exact application takes no aspect ratio")
-        else:
-            if self.lam is None:
-                raise ConstructionError(
-                    f"a {self.kind.value} application requires the aspect ratio lambda"
-                )
-            if not (self.lam > 0.0):
-                raise ConstructionError(f"aspect ratio must be positive, got {self.lam}")
-            if self.kind is ApplicationKind.DEFICIENT and self.lam * self.height_y >= self.base_L:
-                raise DeficiencyExceedsBaseError(
-                    f"deficiency consumes the base: lambda*height = "
-                    f"{self.lam * self.height_y} >= base {self.base_L}"
-                )
+        # Only a deficiency can consume the base: b = L - lam*y <= 0 exactly when lam*y >= L.
+        if not (self.rect_base > 0.0):
+            raise DeficiencyExceedsBaseError(
+                f"deficiency consumes the base: lambda*height = "
+                f"{self.lam * self.height_y} >= base {self.base_L}"
+            )
 
     @property
     def rect_base(self) -> float:
-        """Base length of the applied rectangle (b = L, L - lam*y, or L + lam*y)."""
-        return _rect_base(self.kind, self.base_L, self.lam, self.height_y)
+        """Base length of the applied rectangle, b = L + k*y."""
+        return self.family.rect_base(self.height_y)
 
 
 @dataclass(frozen=True)
@@ -363,34 +414,26 @@ class ApplicationResult:
         return out
 
 
-_CORNER_SUFFIX = {ApplicationKind.DEFICIENT: "⁻", ApplicationKind.EXCESS: "⁺"}
-
-
-def _base_corner_label(kind: ApplicationKind) -> str:
-    if kind is ApplicationKind.EXACT:
-        return "B"
-    return "B" + _CORNER_SUFFIX[kind]
-
-
 def _given_coordinates(
     kind: ApplicationKind, base_L: float, lam: float | None, height: Any
 ) -> dict[str, tuple[Any, Any]]:
     """The given configuration: segment AB plus the applied rectangle corners.
 
     Maps each label to its (x, y); ``height`` may be a float or a numpy
-    array, and the constant coordinates stay scalars.
+    array, and the constant coordinates stay scalars. The parameters are
+    not validated: a degenerate configuration fails in the construction.
+    For the exact kind the applied corners are B and C themselves.
     """
+    b = _rect_base(base_L, _excess_coefficient(kind, lam), height)
+    suffix = _CORNER_SUFFIX[kind]
     coords = {
         "A": (0.0, 0.0),
         "B": (base_L, 0.0),
         "C": (base_L, height),
         "D": (0.0, height),
     }
-    if kind is not ApplicationKind.EXACT:
-        suffix = _CORNER_SUFFIX[kind]
-        b = _rect_base(kind, base_L, lam, height)
-        coords["B" + suffix] = (b, 0.0)
-        coords["C" + suffix] = (b, height)
+    coords["B" + suffix] = (b, 0.0)
+    coords["C" + suffix] = (b, height)
     return coords
 
 
@@ -430,7 +473,7 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
 
 
 # The step program of each kind, built and validated once.
-_STEPS = {kind: _construction_steps(_base_corner_label(kind)) for kind in ApplicationKind}
+_STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
 
 
 def _run_application(spec: ApplicationSpec) -> ApplicationResult:
@@ -490,22 +533,15 @@ def solve_height_for_area(
     which sits over the half-base L/2). Excess: the one positive root of
     lam*y**2 + L*y - area = 0.
     """
-    base_L = float(base_L)
+    family = AreaFamily(kind, base_L, lam)
+    base_L = family.base_L
     area_X = float(area_X)
-    if not (base_L > 0.0):
-        raise ConstructionError(f"base length must be positive, got {base_L}")
     if not (area_X > 0.0):
         raise ConstructionError(f"area must be positive, got {area_X}")
-    if kind is ApplicationKind.EXACT:
-        if lam is not None:
-            raise ConstructionError("an exact application takes no aspect ratio")
+    if family.k == 0.0:
         return [area_X / base_L]
-    if lam is None:
-        raise ConstructionError(f"a {kind.value} application requires the aspect ratio lambda")
-    lam = float(lam)
-    if not (lam > 0.0):
-        raise ConstructionError(f"aspect ratio must be positive, got {lam}")
-    if kind is ApplicationKind.DEFICIENT:
+    lam = abs(family.k)
+    if family.k < 0.0:
         max_area = base_L * base_L / (4.0 * lam)
         if area_X > max_area * (1.0 + 1e-9):
             raise InfeasibleAreaError(

@@ -18,14 +18,7 @@ from enum import Enum
 from typing import Any
 from xml.sax.saxutils import escape
 
-from .constructions import (
-    ApplicationKind,
-    ApplicationResult,
-    _rect_base,
-    apply_deficient,
-    apply_exact,
-    apply_excess,
-)
+from .constructions import ApplicationKind, ApplicationResult, ApplicationSpec, _run_application
 from .kernel import Circle, Point, Segment, distance
 from .locus import (
     _APPLICATION_KIND,
@@ -34,6 +27,7 @@ from .locus import (
     ConicSpec,
     LocusPoint,
     SampleRange,
+    _family,
     conic_params,
     mirror,
     sample_locus,
@@ -158,7 +152,7 @@ def scene_from_application(result: ApplicationResult) -> Scene:
     likewise extended up to J when the height exceeds the side.
     """
     points = result.figure_points
-    kind = result.spec.kind
+    corner = result.spec.family.corner_suffix
     height = result.spec.height_y
     side = result.square_side_g
     prims: list[StyledPrimitive] = []
@@ -166,23 +160,19 @@ def scene_from_application(result: ApplicationResult) -> Scene:
     def seg(p: Point, q: Point, stroke: Stroke = Stroke.SOLID) -> None:
         prims.append(StyledPrimitive(Segment(Point(p.x, p.y), Point(q.x, q.y)), stroke))
 
-    far_base = points["B⁺"] if kind is ApplicationKind.EXCESS else points["B"]
-    if kind is ApplicationKind.EXACT:
-        rect_corner, rect_top = points["B"], points["C"]
-        far_top = points["C"]
-    elif kind is ApplicationKind.DEFICIENT:
-        rect_corner, rect_top = points["B⁻"], points["C⁻"]
-        far_top = points["C"]
+    rect_corner, rect_top = points["B" + corner], points["C" + corner]
+    # The carrier and the dashed top reach the farther of B and the applied corner.
+    if rect_corner.x > points["B"].x:
+        far_base, far_top = rect_corner, rect_top
     else:
-        rect_corner, rect_top = points["B⁺"], points["C⁺"]
-        far_top = points["C⁺"]
+        far_base, far_top = points["B"], points["C"]
 
     # Base carrier from E to the far corner; all base points lie on it.
     seg(points["E"], far_base)
     # Applied rectangle: vertical sides solid, top dashed.
     seg(points["A"], points["D"])
     seg(rect_corner, rect_top)
-    if kind is not ApplicationKind.EXACT:
+    if corner:
         seg(points["B"], points["C"])
     top_end = max(far_top.x, side)
     seg(points["D"], Point(top_end, height), Stroke.DASHED)
@@ -239,33 +229,25 @@ def scene_from_locus(points: list[LocusPoint], spec: ConicSpec) -> Scene:
     """
     if not points:
         raise EmptySceneError("cannot build a scene from an empty locus")
-    base_L, lam = spec.base_L, spec.lam
+    family = _family(spec.kind, spec.base_L, spec.lam)
     prims: list[StyledPrimitive] = []
     for p in points:
         prims.append(StyledPrimitive(Dot(Point(p.x, p.y))))
         if p.x == 0.0:
             continue
-        if spec.kind is ConicKind.HYPERBOLA and p.branch is Branch.LOWER:
-            assert lam is not None
-            height = -base_L / lam - p.y
-            base_line_y = -base_L / lam
-            down = -1.0
-        else:
-            height = p.y
-            base_line_y = 0.0
-            down = 1.0
-        b = _rect_base(_APPLICATION_KIND[spec.kind], base_L, lam, height)
+        # A lower-branch point carries its upper twin's construction,
+        # reflected across the conjugate axis.
+        lower = p.branch is Branch.LOWER
+        height = family.reflect(p.y) if lower else p.y
+        b = family.rect_base(height)
         sign = 1.0 if p.x > 0.0 else -1.0
         reach = max(b, abs(p.x))
         prims.append(
             StyledPrimitive(Segment(Point(0.0, p.y), Point(sign * reach, p.y)), Stroke.DASHED)
         )
         side = max(abs(p.x), height)
-        prims.append(
-            StyledPrimitive(
-                Segment(Point(p.x, base_line_y), Point(p.x, base_line_y + down * side))
-            )
-        )
+        foot, top = (family.reflect(0.0), family.reflect(side)) if lower else (0.0, side)
+        prims.append(StyledPrimitive(Segment(Point(p.x, foot), Point(p.x, top))))
     if spec.kind is ConicKind.HYPERBOLA:
         assert spec.conjugate_axis_y is not None and spec.asymptote_slopes is not None
         box = _extent(tuple(prims))
@@ -433,28 +415,17 @@ def standard_figure(n: int) -> str:
     if n not in FIGURE_PARAMS:
         raise FigureError(f"figure number must be between 1 and 9, got {n}")
     params = FIGURE_PARAMS[n]
-    kind = params["kind"]
-    base = params["base"]
-    if kind == "exact":
-        return render_svg(scene_from_application(apply_exact(base, params["height"])))
-    if kind == "deficient":
-        return render_svg(
-            scene_from_application(apply_deficient(base, params["lambda"], params["height"]))
-        )
-    if kind == "excess":
-        return render_svg(
-            scene_from_application(apply_excess(base, params["lambda"], params["height"]))
-        )
-    if kind == "hyperbola":
-        lam = params["lambda"]
-        height = params["height"]
-        result = apply_excess(base, lam, height)
-        upper = LocusPoint(result.square_side_g, height, Branch.UPPER)
-        lower = LocusPoint(result.square_side_g, -base / lam - height, Branch.LOWER)
-        points = mirror([upper, lower])
-        return render_svg(scene_from_locus(points, conic_params(ConicKind.HYPERBOLA, base, lam)))
+    kind, base, lam = params["kind"], params["base"], params.get("lambda")
+    if kind in {k.value for k in ApplicationKind}:
+        spec = ApplicationSpec(ApplicationKind(kind), base, params["height"], lam)
+        return render_svg(scene_from_application(_run_application(spec)))
     conic = ConicKind(kind)
-    lam = params.get("lambda")
-    sample_range = SampleRange(params["y_min"], params["y_max"], params["samples"])
-    points = mirror(sample_locus(conic, base, sample_range, lam))
-    return render_svg(scene_from_locus(points, conic_params(conic, base, lam)))
+    if "height" in params:
+        # One application and its reflection: a point on each branch.
+        result = _run_application(ApplicationSpec(_APPLICATION_KIND[conic], base, params["height"], lam))
+        g, y = result.square_side_g, result.spec.height_y
+        points = [LocusPoint(g, y, Branch.UPPER), LocusPoint(g, result.spec.family.reflect(y), Branch.LOWER)]
+    else:
+        sample_range = SampleRange(params["y_min"], params["y_max"], params["samples"])
+        points = sample_locus(conic, base, sample_range, lam)
+    return render_svg(scene_from_locus(mirror(points), conic_params(conic, base, lam)))

@@ -49,10 +49,12 @@ class OffLineError(GeometryError):
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Relative/absolute tolerance pair for float comparisons.
+    """Relative/absolute tolerance pair of the kernel's checks.
 
-    Two lengths a, b are considered equal when
-    ``|a - b| <= max(eps_abs, eps_rel * max(|a|, |b|))``.
+    A quantity q at scale s counts as zero when
+    ``|q| <= max(eps_abs, eps_rel * s)``: a point's offset from a line,
+    and the gap between a circle's squared radius and a line's squared
+    distance from its center.
     """
 
     eps_rel: float = 1e-9
@@ -61,12 +63,6 @@ class Tolerance:
     def __post_init__(self) -> None:
         if not (self.eps_rel > 0.0 and self.eps_abs > 0.0):
             raise ValueError("tolerances must be strictly positive")
-
-    def close(self, a: float, b: float) -> bool:
-        return abs(a - b) <= max(self.eps_abs, self.eps_rel * max(abs(a), abs(b)))
-
-    def is_zero(self, value: float, scale: float = 1.0) -> bool:
-        return abs(value) <= max(self.eps_abs, self.eps_rel * abs(scale))
 
 
 DEFAULT_TOLERANCE = Tolerance()
@@ -121,7 +117,8 @@ class Line:
     def __post_init__(self) -> None:
         ux, uy = (float(self.direction[0]), float(self.direction[1]))
         object.__setattr__(self, "direction", (ux, uy))
-        if abs(math.hypot(ux, uy) - 1.0) > 1e-9:
+        # Written so that a nan direction fails too.
+        if not (abs(math.hypot(ux, uy) - 1.0) <= 1e-9):
             raise ValueError(f"line direction must be a unit vector, got {self.direction}")
 
 
@@ -159,21 +156,20 @@ def extend_along_ray(through: Point, frm: Point, dist: float) -> Point:
     return Point(through.x + dist * dx / norm, through.y + dist * dy / norm)
 
 
-def erect_perpendicular(at: Point, base: Line, tol: Tolerance = DEFAULT_TOLERANCE) -> Line:
+def erect_perpendicular(at: Point, base: Line) -> Line:
     """Line through ``at`` perpendicular to ``base``; ``at`` must lie on ``base``."""
     ux, uy = base.direction
     off_x, off_y = at.x - base.anchor.x, at.y - base.anchor.y
     # cross product against a unit direction = signed distance to the line
     off = abs(off_x * uy - off_y * ux)
     span = max(1.0, math.hypot(off_x, off_y))
-    if off > max(tol.eps_abs, tol.eps_rel * span):
+    # Written so that a nan offset (an overflowing one) fails too.
+    if not (off <= max(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * span)):
         raise OffLineError(f"point ({at.x}, {at.y}) does not lie on the base line")
     return Line(at, (-uy, ux))
 
 
-def intersect_circle_line(
-    circle: Circle, line: Line, tol: Tolerance = DEFAULT_TOLERANCE
-) -> list[Point]:
+def intersect_circle_line(circle: Circle, line: Line) -> list[Point]:
     """Intersection points of a circle and a line, sorted by (y, x) ascending.
 
     Returns two points for a secant, one for a tangent (within tolerance
@@ -189,7 +185,7 @@ def intersect_circle_line(
     h2 = hx * hx + hy * hy
     r2 = circle.radius * circle.radius
     gap = r2 - h2
-    band = max(tol.eps_abs, tol.eps_rel * r2)
+    band = max(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * r2)
     if gap < -band:
         return []
     if gap <= band:

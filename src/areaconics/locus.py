@@ -27,7 +27,7 @@ from typing import Any, Iterable, Sequence
 import numpy as np
 
 from ._batched import distance, execute_batched, given_points
-from .constructions import _STEPS, ApplicationKind, ApplicationSpec
+from .constructions import _STEPS, ApplicationKind, ApplicationSpec, AreaFamily, ConstructionError
 from .kernel import Point
 
 __all__ = [
@@ -123,17 +123,12 @@ class SampleRange:
         return values
 
 
-def _check_kind_params(kind: ConicKind, base_L: float, lam: float | None) -> None:
-    if not (base_L > 0.0):
-        raise LocusError(f"base length must be positive, got {base_L}")
-    if kind is ConicKind.PARABOLA:
-        if lam is not None:
-            raise LocusError("the parabola (exact application) takes no aspect ratio")
-    else:
-        if lam is None:
-            raise LocusError(f"the {kind.value} requires the aspect ratio lambda")
-        if not (lam > 0.0):
-            raise LocusError(f"aspect ratio must be positive, got {lam}")
+def _family(kind: ConicKind, base_L: float, lam: float | None) -> AreaFamily:
+    """The area family tracing the conic; invalid parameters raise LocusError."""
+    try:
+        return AreaFamily(_APPLICATION_KIND[kind], base_L, lam)
+    except ConstructionError as exc:
+        raise LocusError(str(exc)) from exc
 
 
 def sample_locus(
@@ -158,23 +153,21 @@ def sample_locus(
     lam * y_max < L for the ellipse (at lam*y = L the applied rectangle
     vanishes).
     """
-    base_L = float(base_L)
-    _check_kind_params(kind, base_L, lam)
+    family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
         raise LocusError("sample heights must be positive: the applied rectangle vanishes at y = 0")
-    if kind is ConicKind.ELLIPSE:
-        assert lam is not None
-        if lam * sample_range.y_max >= base_L:
-            raise LocusError(
-                f"ellipse heights must stay below L/lambda = {base_L / lam}: "
-                "the deficiency would consume the whole base"
-            )
+    # Only the ellipse's applied base b = L - lam*y shrinks to nothing, at y = L/lam.
+    if not (family.rect_base(sample_range.y_max) > 0.0):
+        raise LocusError(
+            f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
+            "the deficiency would consume the whole base"
+        )
     heights = sample_range.heights()
     # The heights ascend from y_min > 0 to y_max, inside the bounds checked
     # above, so the application's checks pass at every height if they pass
     # at the first (an infinite y_max makes the first height NaN, which the
     # spec rejects).
-    spec = ApplicationSpec(_APPLICATION_KIND[kind], base_L, heights[0], lam)
+    spec = ApplicationSpec(family.kind, family.base_L, heights[0], family.lam)
     steps = _STEPS[spec.kind]
     uppers: list[LocusPoint] = []
     for start in range(0, len(heights), _BLOCK):
@@ -185,10 +178,7 @@ def sample_locus(
         uppers += [LocusPoint(x, y, Branch.UPPER) for x, y in zip(sides, block)]
     if kind is not ConicKind.HYPERBOLA:
         return uppers
-    assert lam is not None
-    # Reflection across the conjugate axis y = -L/(2*lam): y -> -L/lam - y.
-    mirror_sum = -base_L / lam
-    lowers = [LocusPoint(p.x, mirror_sum - p.y, Branch.LOWER) for p in uppers]
+    lowers = [LocusPoint(p.x, family.reflect(p.y), Branch.LOWER) for p in uppers]
     lowers.sort(key=lambda p: p.y)
     return uppers + lowers
 
@@ -237,15 +227,8 @@ class ConicSpec:
         Gauge-normalized so the largest-magnitude coefficient is +1,
         matching the normalization of ``fit_conic_oracle``.
         """
-        if self.kind is ConicKind.PARABOLA:
-            raw = (1.0, 0.0, 0.0, 0.0, -self.base_L, 0.0)
-        elif self.kind is ConicKind.ELLIPSE:
-            assert self.lam is not None
-            raw = (1.0, 0.0, self.lam, 0.0, -self.base_L, 0.0)
-        else:
-            assert self.lam is not None
-            raw = (1.0, 0.0, -self.lam, 0.0, -self.base_L, 0.0)
-        return normalize_conic_coefficients(raw)
+        family = _family(self.kind, self.base_L, self.lam)
+        return normalize_conic_coefficients((1.0, 0.0, -family.k, 0.0, -family.base_L, 0.0))
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind.value, "base_L": self.base_L}
@@ -278,12 +261,10 @@ def conic_params(kind: ConicKind, base_L: float, lam: float | None = None) -> Co
     Hyperbola: center (0, -L/(2*lam)), vertices (0, 0) and (0, -L/lam),
     asymptotes y = -L/(2*lam) +- x/sqrt(lam), eccentricity sqrt(1 + lam).
     """
-    base_L = float(base_L)
-    _check_kind_params(kind, base_L, lam)
-    if kind is ConicKind.PARABOLA:
+    family = _family(kind, base_L, lam)
+    base_L, lam = family.base_L, family.lam
+    if lam is None:  # the parabola, k = 0
         return ConicSpec(kind=kind, base_L=base_L, vertices=(Point(0.0, 0.0, "A"),))
-    assert lam is not None
-    lam = float(lam)
     half_height = base_L / (2.0 * lam)
     half_width = base_L / (2.0 * math.sqrt(lam))
     if kind is ConicKind.ELLIPSE:
@@ -319,39 +300,9 @@ def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
     Returns (L**2 / (4*lam), L/2): the maximal rectangle is the one
     applied to half the segment.
     """
-    base_L = float(base_L)
     lam = float(lam)
-    if not (base_L > 0.0 and lam > 0.0):
-        raise LocusError("base length and aspect ratio must be positive")
+    base_L = _family(ConicKind.ELLIPSE, base_L, lam).base_L
     return base_L * base_L / (4.0 * lam), base_L / 2.0
-
-
-def _vertex_residual(p: LocusPoint, kind: ConicKind, base_L: float, lam: float | None) -> float:
-    y = p.y
-    if kind is ConicKind.HYPERBOLA and p.branch is Branch.LOWER:
-        assert lam is not None
-        y = -base_L / lam - y
-    rhs = base_L * y
-    if kind is ConicKind.ELLIPSE:
-        assert lam is not None
-        rhs -= lam * y * y
-    elif kind is ConicKind.HYPERBOLA:
-        assert lam is not None
-        rhs += lam * y * y
-    return abs(p.x * p.x - rhs)
-
-
-def _standard_residual(p: LocusPoint, kind: ConicKind, base_L: float, lam: float | None) -> float:
-    if kind is ConicKind.PARABOLA:
-        # x**2 = L*y is already the standard form.
-        return _vertex_residual(p, kind, base_L, lam)
-    assert lam is not None
-    a = base_L / (2.0 * math.sqrt(lam))
-    b = base_L / (2.0 * lam)
-    if kind is ConicKind.ELLIPSE:
-        return abs(p.x * p.x / (a * a) + (p.y - b) ** 2 / (b * b) - 1.0)
-    # Symmetric in (y + b), so both branches check directly.
-    return abs((p.y + b) ** 2 / (b * b) - p.x * p.x / (a * a) - 1.0)
 
 
 @dataclass(frozen=True)
@@ -404,18 +355,32 @@ def verify_residuals(
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Check sampled points against the conic's equations; never raises on failure."""
-    base_L = float(base_L)
-    _check_kind_params(kind, base_L, lam)
+    family = _family(kind, base_L, lam)
+    base_L, k = family.base_L, family.k
+    if k != 0.0:
+        # The standard form about the center y = c = -L/(2k) is
+        # (y - c)**2/c**2 + s*x**2/a**2 = 1, with s = +1 for the ellipse and
+        # -1 for the hyperbola; symmetric about c, so both branches check as
+        # they are.
+        center = -base_L / (2.0 * k)
+        a = base_L / (2.0 * math.sqrt(abs(k)))
+        c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
     max_residual = 0.0
     worst: LocusPoint | None = None
     max_standard = 0.0
     standard_worst: LocusPoint | None = None
     for p in points:
-        residual = _vertex_residual(p, kind, base_L, lam)
+        y = family.reflect(p.y) if p.branch is Branch.LOWER else p.y
+        # k = 0 skips k*y*y, which is nan at an infinite height.
+        residual = abs(p.x * p.x - (base_L * y if k == 0.0 else base_L * y + k * y * y))
         if worst is None or residual > max_residual:
             max_residual = residual
             worst = p
-        standard = _standard_residual(p, kind, base_L, lam)
+        if k == 0.0:
+            # x**2 = L*y is already the parabola's standard form.
+            standard = residual
+        else:
+            standard = abs((p.y - center) ** 2 / c2 + s * (p.x * p.x / a2) - 1.0)
         if standard_worst is None or standard > max_standard:
             max_standard = standard
             standard_worst = p

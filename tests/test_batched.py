@@ -198,6 +198,16 @@ def step(op, inputs, output):
             ),
             {"A": ([0.0, 0.0], [0.0, 0.0]), "B": ([1.0, 1.0], [0.0, 0.0]), "P": ([0.5, 1.5], [0.0, 0.0])},
         ),
+        # The second line's span overflows, so its direction is (nan, 0).
+        (
+            (step(StepOp.ERECT_PERPENDICULAR, ("A", "A", "B"), "l"),),
+            {"A": ([0.0, -1e308], [0.0, 0.0]), "B": ([1.0, 1e308], [0.0, 0.0])},
+        ),
+        # P is 5 off the line AB, but its offset along AB overflows to a nan cross product.
+        (
+            (step(StepOp.ERECT_PERPENDICULAR, ("P", "A", "B"), "l"),),
+            {"A": ([0.0, -1e308], [0.0, 0.0]), "B": ([1.0, 0.0], [0.0, 0.0]), "P": ([0.5, 1e308], [0.0, 5.0])},
+        ),
         # The midpoint overflows.
         (
             (step(StepOp.BISECT, ("A", "B"), "M"),),

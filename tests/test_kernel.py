@@ -204,8 +204,17 @@ def test_type_invariants():
         Tolerance(eps_abs=-1.0)
 
 
-def test_tolerance_close():
-    tol = Tolerance()
-    assert tol.close(1.0, 1.0 + 5e-10)
-    assert not tol.close(1.0, 1.0 + 5e-9)
-    assert tol.close(0.0, 5e-13)
+def test_nan_direction_is_not_a_unit_vector():
+    # The span overflows to inf, so the normalized direction is (nan, 0).
+    with pytest.raises(ValueError, match="unit vector"):
+        line_through(Point(-1e308, 0.0), Point(1e308, 0.0))
+    with pytest.raises(ValueError, match="unit vector"):
+        Line(Point(0.0, 0.0), (math.nan, 0.0))
+
+
+def test_overflowing_offset_is_off_the_line():
+    # The point is 5 above the line y = 0, but its offset along the line
+    # overflows, and inf * 0 makes the cross product nan.
+    base = Line(Point(-1e308, 0.0), (1.0, 0.0))
+    with pytest.raises(OffLineError):
+        erect_perpendicular(Point(1e308, 5.0), base)
