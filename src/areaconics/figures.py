@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
-from xml.sax.saxutils import escape
 
 from .constructions import ApplicationKind, ApplicationResult, ApplicationSpec, _run_application
 from .kernel import Circle, Point, Segment, distance
@@ -282,6 +281,15 @@ _PAD_FRACTION = 0.05
 _PAD_MIN = 4.0
 
 
+def _escape(text: str) -> str:
+    """Escape &, > and < for XML character data, as ``xml.sax.saxutils.escape``.
+
+    Kept local: importing ``xml.sax`` pulls ``urllib``, ``http`` and ``ssl``
+    into every CLI process.
+    """
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 def _fmt(value: float) -> str:
     out = f"{value:.6g}"
     return "0" if out == "-0" else out
@@ -361,7 +369,7 @@ def render_svg(scene: Scene) -> str:
             elements.append(
                 f'<text x="{_fmt(lx)}" y="{_fmt(ly)}" font-family="{_FONT_FAMILY}" '
                 f'font-size="{_fmt(_FONT_SIZE)}" fill="{_STROKE_COLOR}">'
-                f"{escape(shape.text)}</text>"
+                f"{_escape(shape.text)}</text>"
             )
 
     if scene.bounds is not None:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path as FilePath
@@ -109,6 +110,10 @@ class SampleRange:
     def __post_init__(self) -> None:
         object.__setattr__(self, "y_min", float(self.y_min))
         object.__setattr__(self, "y_max", float(self.y_max))
+        try:
+            object.__setattr__(self, "n", operator.index(self.n))
+        except TypeError as exc:
+            raise LocusError(f"sample count must be an integer, got {self.n!r}") from exc
         if not (self.y_min >= 0.0):
             raise LocusError(f"y_min must be nonnegative, got {self.y_min}")
         if not (self.y_min < self.y_max):
@@ -314,6 +319,8 @@ class VerificationReport:
     ``max_standard_residual`` is over the dimensionless standard form.
     The pass flag compares the vertex-form maximum against
     ``tol * max(1, L**2)``, the natural area scale of the residual.
+    A nan residual (a non-finite point) counts as the largest: the first
+    such point is reported as the worst, and the check fails.
     """
 
     kind: ConicKind
@@ -365,15 +372,18 @@ def verify_residuals(
         center = -base_L / (2.0 * k)
         a = base_L / (2.0 * math.sqrt(abs(k)))
         c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
-    max_residual = 0.0
+    # Residuals are >= 0 or nan, so -1 lets the first point in. A nan
+    # residual is the worst: ``not residual <= max`` records it, and a nan
+    # maximum (max != max) then keeps the first one.
+    max_residual = -1.0
     worst: LocusPoint | None = None
-    max_standard = 0.0
+    max_standard = -1.0
     standard_worst: LocusPoint | None = None
     for p in points:
         y = family.reflect(p.y) if p.branch is Branch.LOWER else p.y
         # k = 0 skips k*y*y, which is nan at an infinite height.
         residual = abs(p.x * p.x - (base_L * y if k == 0.0 else base_L * y + k * y * y))
-        if worst is None or residual > max_residual:
+        if not residual <= max_residual and max_residual == max_residual:
             max_residual = residual
             worst = p
         if k == 0.0:
@@ -381,9 +391,11 @@ def verify_residuals(
             standard = residual
         else:
             standard = abs((p.y - center) ** 2 / c2 + s * (p.x * p.x / a2) - 1.0)
-        if standard_worst is None or standard > max_standard:
+        if not standard <= max_standard and max_standard == max_standard:
             max_standard = standard
             standard_worst = p
+    if worst is None:  # no points
+        max_residual = max_standard = 0.0
     threshold = tol * max(1.0, base_L * base_L)
     return VerificationReport(
         kind=kind,
@@ -420,18 +432,33 @@ def fit_conic_oracle(
 ) -> tuple[float, float, float, float, float, float]:
     """Least-squares implicit conic through sampled points.
 
-    Builds the design matrix with rows (x^2, xy, y^2, x, y, 1) and takes
-    the singular vector of the smallest singular value, normalized so
-    the largest-magnitude coefficient is +1. Requires at least 6 points
-    in general position; collinear or otherwise degenerate input (a
-    null space of dimension above one) is rejected.
+    Builds the n-by-6 design matrix with rows (x^2, xy, y^2, x, y, 1),
+    column by column, and takes the right singular vector of the smallest
+    singular value, normalized so the largest-magnitude coefficient is +1.
+    The SVD is thin (U is n-by-6, never n-by-n), so time and memory are
+    O(n). Requires at least 6 points in general position; collinear or
+    otherwise degenerate input (a null space of dimension above one) is
+    rejected, and so is a non-finite coordinate or one whose square
+    overflows.
     """
-    if len(points) < 6:
-        raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {len(points)}")
-    rows = np.array(
-        [[p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1.0] for p in points], dtype=float
-    )
-    _, singular, vt = np.linalg.svd(rows)
+    n = len(points)
+    if n < 6:
+        raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {n}")
+    x = np.fromiter([p.x for p in points], float, n)
+    y = np.fromiter([p.y for p in points], float, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        design = np.column_stack((x * x, x * y, y * y, x, y, np.ones(n)))
+    finite = np.isfinite(design)
+    if not finite.all():
+        i = int(np.argmin(finite.all(axis=1)))
+        px, py = float(x[i]), float(y[i])
+        if math.isfinite(px) and math.isfinite(py):
+            raise LocusError(
+                f"point {i} ({px!r}, {py!r}) overflows the design matrix: "
+                f"the fit needs |x| and |y| at most {math.sqrt(np.finfo(float).max)!r}"
+            )
+        raise LocusError(f"point {i} ({px!r}, {py!r}) has a non-finite coordinate")
+    _, singular, vt = np.linalg.svd(design, full_matrices=False)
     if singular[4] <= 1e-10 * singular[0]:
         raise DegenerateFitError("points do not determine a unique conic (degenerate configuration)")
     return normalize_conic_coefficients(vt[-1])

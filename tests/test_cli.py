@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,15 @@ def test_stdout_is_single_json_document(capsys):
     out = capsys.readouterr().out
     json.loads(out)  # raises if anything else is interleaved
     assert out.count("\n") == 1
+
+
+def test_cli_import_stays_off_the_network_stack():
+    # xml.sax.saxutils alone would pull urllib, http, ssl and email into
+    # every CLI process.
+    heavy = ("xml.sax", "urllib.request", "http.client", "ssl", "email")
+    code = "import sys, areaconics.cli; print([m for m in %r if m in sys.modules])" % (heavy,)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -59,6 +60,16 @@ def test_sample_range_validation():
     with pytest.raises(LocusError):
         SampleRange(0.0, 1.0, 1)
     assert SampleRange(1.0, 3.5, 3).heights() == [1.0, 2.25, 3.5]
+
+
+def test_sample_range_count_must_be_integral():
+    for n in (2.5, 3.0, np.float64(3.0), "3", None):
+        with pytest.raises(LocusError, match="sample count must be an integer"):
+            SampleRange(0.1, 1.0, n)
+    for n in (3, np.int64(3), np.uint8(3)):
+        sample_range = SampleRange(0.1, 1.0, n)
+        assert type(sample_range.n) is int
+        assert sample_range.heights() == [0.1, 0.55, 1.0]
 
 
 def test_sample_locus_feasibility():
@@ -175,6 +186,27 @@ def test_verify_residuals_empty():
     assert report.worst is None
 
 
+def test_verify_residuals_nan_is_worst():
+    # On-curve points, then two points whose residuals are nan, then a
+    # point far off the curve: the first nan point stays the worst.
+    for kind, lam, bad in (
+        (ConicKind.ELLIPSE, 1.0, LocusPoint(0.25, math.inf)),  # L*y - y**2 = inf - inf
+        (ConicKind.HYPERBOLA, 1.5, LocusPoint(math.nan, 1.0)),
+        (ConicKind.PARABOLA, None, LocusPoint(math.nan, 1.0)),
+    ):
+        points = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
+        points += [bad, LocusPoint(math.nan, 0.5), LocusPoint(100.0, 0.5)]
+        report = verify_residuals(points, kind, 2, lam, tol=1e-9)
+        assert not report.passed
+        assert math.isnan(report.max_residual)
+        assert report.worst is bad
+    report = verify_residuals([LocusPoint(math.nan, 1.0), LocusPoint(5.0, 1.0)], ConicKind.ELLIPSE, 2, 1.0)
+    assert not report.passed
+    assert math.isnan(report.max_residual) and math.isnan(report.max_standard_residual)
+    assert report.worst == report.standard_worst
+    assert math.isnan(report.worst.x)
+
+
 def test_residuals_invariant_under_mirroring():
     for kind, lam in ((ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 2.0)):
         points = sample_locus(kind, 3, SampleRange(0.3, 1.4, 7), lam)
@@ -253,6 +285,53 @@ def test_fit_conic_oracle_degenerate():
         fit_conic_oracle(collinear)
     with pytest.raises(DegenerateFitError):
         fit_conic_oracle([LocusPoint(1, 1)] * 5)
+
+
+def test_fit_conic_oracle_rejects_non_finite_points():
+    points = sample_locus(ConicKind.ELLIPSE, 2, SampleRange(0.2, 1.8, 8), lam=1)
+    for bad, message in (
+        (LocusPoint(math.nan, 1.0), r"point 8 \(nan, 1.0\) has a non-finite coordinate"),
+        (LocusPoint(0.5, math.inf), r"point 8 \(0.5, inf\) has a non-finite coordinate"),
+        (LocusPoint(-math.inf, 1.0), r"point 8 \(-inf, 1.0\) has a non-finite coordinate"),
+        (LocusPoint(2e154, 1.0), r"point 8 \(2e\+154, 1.0\) overflows the design matrix"),
+        (LocusPoint(1.0, -1.5e154), r"point 8 \(1.0, -1.5e\+154\) overflows the design matrix"),
+    ):
+        with pytest.raises(LocusError, match=message) as info:
+            fit_conic_oracle(points + [bad, LocusPoint(math.nan, 0.0)])
+        assert type(info.value) is LocusError
+
+
+def _full_svd_fit(points):
+    """The fit as a full SVD of a row-built design matrix: the reference."""
+    rows = np.array([[p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1.0] for p in points], dtype=float)
+    return normalize_conic_coefficients(np.linalg.svd(rows)[2][-1])
+
+
+@pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 2.0)])
+@pytest.mark.parametrize("base", [1e-3, 1.0, 1e3])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_fit_conic_oracle_matches_full_svd(kind, lam, base, mirrored):
+    top = 0.9 * base / lam if kind is ConicKind.ELLIPSE else 3.0 * base
+    points = sample_locus(kind, base, SampleRange(top / 200, top, 120), lam)
+    if mirrored:
+        points = mirror(points)
+    assert len(points) <= 500
+    assert fit_conic_oracle(points) == pytest.approx(_full_svd_fit(points), abs=1e-12)
+
+
+def test_fit_conic_oracle_memory_is_linear():
+    # A full SVD would ask for a 200k-by-200k U (298 GiB).
+    points = mirror(sample_locus(ConicKind.ELLIPSE, 2.0, SampleRange(1e-3, 1.999, 100_000), lam=1.0))
+    assert len(points) == 200_000
+    tracemalloc.start()
+    try:
+        fitted = fit_conic_oracle(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    expected = conic_params(ConicKind.ELLIPSE, 2.0, 1.0).implicit_coefficients()
+    assert fitted == pytest.approx(expected, abs=1e-6)
 
 
 def test_oracle_agreement_all_kinds():
