@@ -23,7 +23,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, Callable
 
 from .kernel import (
     Circle,
@@ -532,26 +532,72 @@ def solve_height_for_area(
     lam*y**2 - L*y + area = 0 (equal at the maximal area L**2/(4*lam),
     which sits over the half-base L/2). Excess: the one positive root of
     lam*y**2 + L*y - area = 0.
+
+    Where the float formulas overflow (L**2 or 4*lam*area beyond the float
+    range), they run again in decimal arithmetic. A height that a float
+    cannot hold (it overflows, or underflows to 0) raises ConstructionError.
     """
     family = AreaFamily(kind, base_L, lam)
-    base_L = family.base_L
+    base_L, k = family.base_L, family.k
     area_X = float(area_X)
-    if not (area_X > 0.0):
-        raise ConstructionError(f"area must be positive, got {area_X}")
-    if family.k == 0.0:
+    if not (0.0 < area_X < math.inf):
+        raise ConstructionError(f"area must be positive and finite, got {area_X}")
+    # With 4*lam infinite the float formulas misjudge the maximal area or
+    # divide by zero.
+    heights = _area_roots(base_L, k, area_X) if 4.0 * abs(k) < math.inf else []
+    if heights and all(0.0 < y < math.inf for y in heights):
+        return heights
+    heights = [float(y) for y in _in_decimal(_area_roots, base_L, k, area_X)]
+    for y in heights:
+        if not (0.0 < y < math.inf):
+            raise ConstructionError(
+                f"a height for area {area_X} on base {base_L} "
+                f"{'underflows' if y == 0.0 else 'overflows'} the float range"
+            )
+    return heights
+
+
+def _area_roots(base_L: Any, k: Any, area_X: Any) -> list[Any]:
+    """The positive roots y of L*y + k*y**2 = area, ascending.
+
+    Runs in the arithmetic of its arguments: floats, or decimals (see
+    ``_in_decimal``).
+    """
+    if k == 0:
         return [area_X / base_L]
-    lam = abs(family.k)
-    if family.k < 0.0:
-        max_area = base_L * base_L / (4.0 * lam)
-        if area_X > max_area * (1.0 + 1e-9):
+    lam = abs(k)
+    sqrt = math.sqrt if type(base_L) is float else type(base_L).sqrt
+    if k < 0:
+        max_area = _max_area(base_L, lam)
+        # 1 + 1e-9 as the float it rounds to, in max_area's arithmetic.
+        if area_X > max_area * type(max_area)(1.0 + 1e-9):
             raise InfeasibleAreaError(
                 f"area {area_X} exceeds the maximum applicable area "
                 f"L^2/(4*lambda) = {max_area} (Elements VI.27)"
             )
-        disc = max(0.0, base_L * base_L - 4.0 * lam * area_X)
+        disc = max(0, base_L * base_L - 4 * lam * area_X)
         # Stable quadratic: large root first, small root via the product.
-        y_hi = (base_L + math.sqrt(disc)) / (2.0 * lam)
+        y_hi = (base_L + sqrt(disc)) / (2 * lam)
         y_lo = area_X / (lam * y_hi)
         return [y_lo, y_hi]
-    root = math.sqrt(base_L * base_L + 4.0 * lam * area_X)
-    return [2.0 * area_X / (base_L + root)]
+    root = sqrt(base_L * base_L + 4 * lam * area_X)
+    return [2 * area_X / (base_L + root)]
+
+
+def _max_area(base_L: Any, lam: Any) -> Any:
+    """L**2/(4*lam), the largest area a deficient application holds (VI.27)."""
+    return base_L * base_L / (4 * lam)
+
+
+def _in_decimal(formula: Callable[..., Any], *args: float) -> Any:
+    """``formula`` over float ``args`` in 50-digit decimal arithmetic.
+
+    The fallback for formulas whose float products overflow or underflow:
+    the decimal exponent range holds any product of floats. Traps are off,
+    so an infinite input gives an infinite, zero or nan result for the
+    caller to reject, not an exception.
+    """
+    import decimal  # only these rare paths need it
+
+    with decimal.localcontext(decimal.Context(prec=50, traps=[])):
+        return formula(*map(decimal.Decimal, args))

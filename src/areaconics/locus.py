@@ -12,7 +12,9 @@ y = -L/(2*lam).
 closed forms live in ``conic_params`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
-cross check on sampled points.
+cross check on sampled points. Only those two functions import numpy,
+each at its first call, so code that neither sweeps nor fits (most CLI
+verbs) never loads it.
 """
 
 from __future__ import annotations
@@ -25,10 +27,15 @@ from enum import Enum
 from pathlib import Path as FilePath
 from typing import Any, Iterable, Sequence
 
-import numpy as np
-
-from ._batched import distance, execute_batched, given_points
-from .constructions import _STEPS, ApplicationKind, ApplicationSpec, AreaFamily, ConstructionError
+from .constructions import (
+    _STEPS,
+    ApplicationKind,
+    ApplicationSpec,
+    AreaFamily,
+    ConstructionError,
+    _in_decimal,
+    _max_area,
+)
 from .kernel import Point
 
 __all__ = [
@@ -158,6 +165,10 @@ def sample_locus(
     lam * y_max < L for the ellipse (at lam*y = L the applied rectangle
     vanishes).
     """
+    import numpy as np
+
+    from ._batched import distance, execute_batched, given_points
+
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
         raise LocusError("sample heights must be positive: the applied rectangle vanishes at y = 0")
@@ -303,11 +314,20 @@ def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
     """Largest area a deficient application can hold, and the base it sits on.
 
     Returns (L**2 / (4*lam), L/2): the maximal rectangle is the one
-    applied to half the segment.
+    applied to half the segment. An area that a float cannot hold (it
+    overflows, or underflows to 0) raises LocusError.
     """
-    lam = float(lam)
-    base_L = _family(ConicKind.ELLIPSE, base_L, lam).base_L
-    return base_L * base_L / (4.0 * lam), base_L / 2.0
+    family = _family(ConicKind.ELLIPSE, base_L, float(lam))
+    base_L, lam = family.base_L, family.lam
+    area = _max_area(base_L, lam)
+    if not (0.0 < area < math.inf):  # L*L may over- or underflow where the area does not
+        area = float(_in_decimal(_max_area, base_L, lam))
+    if not (0.0 < area < math.inf):
+        raise LocusError(
+            f"the maximum area L^2/(4*lambda) for L = {base_L}, lambda = {lam} "
+            f"{'underflows' if area == 0.0 else 'overflows'} the float range"
+        )
+    return area, base_L / 2.0
 
 
 @dataclass(frozen=True)
@@ -361,8 +381,14 @@ def verify_residuals(
     lam: float | None = None,
     tol: float = 1e-9,
 ) -> VerificationReport:
-    """Check sampled points against the conic's equations; never raises on failure."""
+    """Check sampled points against the conic's equations; never raises on failure.
+
+    ``tol`` must be finite and nonnegative: a nan or negative one would fail
+    exact points, an infinite one pass any.
+    """
     family = _family(kind, base_L, lam)
+    if not (0.0 <= tol < math.inf):
+        raise LocusError(f"tolerance must be finite and nonnegative, got {tol}")
     base_L, k = family.base_L, family.k
     if k != 0.0:
         # The standard form about the center y = c = -L/(2k) is
@@ -441,6 +467,8 @@ def fit_conic_oracle(
     rejected, and so is a non-finite coordinate or one whose square
     overflows.
     """
+    import numpy as np
+
     n = len(points)
     if n < 6:
         raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {n}")

@@ -177,13 +177,84 @@ def test_stdout_is_single_json_document(capsys):
     assert out.count("\n") == 1
 
 
+def _fresh_python(code, *args):
+    """Run ``code`` in a new interpreter on this checkout's ``src``; return its stdout."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    argv = [sys.executable, "-c", code, *args]
+    return subprocess.run(argv, env=env, capture_output=True, text=True, check=True).stdout
+
+
 def test_cli_import_stays_off_the_network_stack():
     # xml.sax.saxutils alone would pull urllib, http, ssl and email into
     # every CLI process.
     heavy = ("xml.sax", "urllib.request", "http.client", "ssl", "email")
     code = "import sys, areaconics.cli; print([m for m in %r if m in sys.modules])" % (heavy,)
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+# Runs each argv through cli.run and prints the steps after which numpy
+# was loaded ("import" for the package import itself) or the exit code
+# was not 0.
+_NUMPY_PROBE = """
+import contextlib, io, json, sys
+import areaconics, areaconics.cli
+seen = ["import"] if "numpy" in sys.modules else []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = areaconics.cli.run(argv)
+    if code != 0 or "numpy" in sys.modules:
+        seen.append([argv[0], code])
+print(json.dumps(seen))
+"""
+
+
+def test_verbs_that_neither_sweep_nor_fit_never_load_numpy(tmp_path):
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,branch\n2.0,1.0,upper\n-2.0,1.0,upper\n", encoding="utf-8")
+    verbs = [
+        ["construct", "--kind", "excess", "--base", "2", "--lambda", "1", "--height", "1",
+         "--trace", str(tmp_path / "trace.json"), "--svg", str(tmp_path / "diagram.svg")],
+        ["solve", "--kind", "deficient", "--base", "4", "--lambda", "1", "--area", "3"],
+        ["params", "--kind", "ellipse", "--base", "4", "--lambda", "0.75"],
+        ["maxarea", "--base", "2", "--lambda", "1"],
+        ["verify", "--points", str(points), "--kind", "parabola", "--base", "4", "--tol", "1e-9"],
+        ["figure", "--which", "1", "--out", str(tmp_path / "figure1.svg")],
+    ]
+    assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(verbs))) == []
+
+
+def test_sweeps_and_fits_load_numpy_on_first_use(tmp_path):
+    csv_path = str(tmp_path / "locus.csv")
+    locus = [["locus", "--kind", "parabola", "--base", "2", "--samples", "5", "--out", csv_path]]
+    assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(locus))) == [["locus", 0]]
+    fit = (
+        "import sys\n"
+        "from areaconics.locus import LocusPoint, fit_conic_oracle\n"
+        "before = 'numpy' in sys.modules\n"
+        "fit_conic_oracle([LocusPoint(x, x * x / 4.0) for x in range(-3, 4)])\n"
+        "print(before, 'numpy' in sys.modules)\n"
+    )
+    assert _fresh_python(fit).split() == ["False", "True"]
+
+
+def test_verify_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tmp_path, capsys):
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,branch\n2.0,1.0,upper\n", encoding="utf-8")
+    argv = ["verify", "--points", str(points), "--kind", "parabola", "--base", "4", "--tol"]
+    for tol in ("-1", "nan", "inf"):
+        assert run([*argv, tol]) == 1
+        assert "tolerance must be finite and nonnegative" in capsys.readouterr().err
+    assert run([*argv, "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["passed"] is True
+
+
+def test_solve_overflow(capsys):
+    # L*y + lam*y**2 = area with 4*lam*area beyond the float range: the
+    # root is still representable.
+    assert run(["solve", "--kind", "excess", "--base", "1", "--lambda", "10", "--area", "1e307"]) == 0
+    assert json.loads(capsys.readouterr().out)["heights"] == [pytest.approx(1e153, rel=1e-12)]
+    # area/L = 1e600 is not.
+    assert run(["solve", "--kind", "exact", "--base", "1e-300", "--area", "1e300"]) == 1
+    assert "overflows the float range" in capsys.readouterr().err

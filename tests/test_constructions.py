@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -219,6 +220,46 @@ def test_solve_height_argument_errors():
         solve_height_for_area(ApplicationKind.EXACT, -1, 4)
     with pytest.raises(ConstructionError):
         solve_height_for_area(ApplicationKind.EXACT, 4, 0)
+
+
+def _area_residual(kind, base, area, lam, y):
+    """|L*y + k*y**2 - area| over the sum of the terms' sizes, in exact arithmetic."""
+    k = {"exact": 0, "deficient": -lam, "excess": lam}[kind.value]
+    L, y, X, k = Fraction(base), Fraction(y), Fraction(area), Fraction(k or 0)
+    return abs(L * y + k * y * y - X) / (L * y + abs(k) * y * y + X)
+
+
+@pytest.mark.parametrize(
+    "kind,base,area,lam,expected",
+    [
+        # 4*lam*area overflows: the float formula gave [0.0].
+        (ApplicationKind.EXCESS, 1.0, 1e307, 10.0, [1e153]),
+        # L**2 overflows: [0.0, inf].
+        (ApplicationKind.DEFICIENT, 1e200, 1.0, 1.0, [1e-200, 1e200]),
+        # 2*lam overflows: ZeroDivisionError.
+        (ApplicationKind.DEFICIENT, 1e200, 1.0, 1e308, [1e-200, 1e-108]),
+    ],
+)
+def test_solve_height_survives_overflowing_intermediates(kind, base, area, lam, expected):
+    heights = solve_height_for_area(kind, base, area, lam)
+    assert heights == pytest.approx(expected, rel=1e-12)
+    assert all(_area_residual(kind, base, area, lam, y) < 1e-15 for y in heights)
+
+
+@pytest.mark.parametrize(
+    "kind,base,area,lam,match",
+    [
+        (ApplicationKind.EXACT, 1e-300, 1e300, None, "overflows the float range"),
+        (ApplicationKind.EXACT, 1e300, 1e-300, None, "underflows the float range"),
+        # y_hi ~ L/lam = 1e310; y_lo ~ 0.5 alone would hide the lost root.
+        (ApplicationKind.DEFICIENT, 1.0, 0.5, 1e-310, "overflows the float range"),
+        (ApplicationKind.EXCESS, 1.0, math.inf, 1.0, "area must be positive and finite"),
+        (ApplicationKind.EXCESS, 1.0, math.nan, 1.0, "area must be positive and finite"),
+    ],
+)
+def test_solve_height_unrepresentable_raises(kind, base, area, lam, match):
+    with pytest.raises(ConstructionError, match=match):
+        solve_height_for_area(kind, base, area, lam)
 
 
 @pytest.mark.parametrize(

@@ -164,12 +164,34 @@ def test_max_applicable_area_examples():
         max_applicable_area(0, 1)
 
 
+def test_max_applicable_area_out_of_float_range():
+    # L**2/(4*lam) = 2.5e399 overflows; the float formula gave (inf, 5e199).
+    with pytest.raises(LocusError, match="overflows the float range"):
+        max_applicable_area(1e200, 1.0)
+    with pytest.raises(LocusError, match="underflows the float range"):
+        max_applicable_area(1e-200, 1e300)
+    # Only L**2 overflows (underflows); the area itself fits.
+    area, at_base = max_applicable_area(1e200, 1e200)
+    assert (area, at_base) == (pytest.approx(2.5e199, rel=1e-15), 5e199)
+    assert max_applicable_area(1e-200, 1e-300)[0] == pytest.approx(2.5e-101, rel=1e-15)
+
+
 def test_verify_residuals_pass_on_samples():
     for kind, lam in ((ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 1.0), (ConicKind.HYPERBOLA, 1.0)):
         points = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
         report = verify_residuals(points, kind, 2, lam, tol=1e-9)
         assert report.passed
         assert report.max_residual <= 1e-9 * 4.0
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_verify_residuals_rejects_tolerance(tol):
+    with pytest.raises(LocusError, match="tolerance must be finite and nonnegative"):
+        verify_residuals([LocusPoint(2, 1)], ConicKind.PARABOLA, 4, tol=tol)
+
+
+def test_verify_residuals_zero_tolerance_passes_exact_point():
+    assert verify_residuals([LocusPoint(2, 1)], ConicKind.PARABOLA, 4, tol=0).passed
 
 
 def test_verify_residuals_fail():
