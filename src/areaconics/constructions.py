@@ -19,23 +19,26 @@ steps (a trace) that can be serialized to JSON and replayed bit-exactly.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .kernel import (
-    Circle,
-    Line,
+    FLOATS,
     Point,
-    Segment,
+    _circle,
+    _distance,
+    _extend,
+    _highest,
+    _line_through,
+    _midpoint,
+    _perpendicular,
+    _point,
     distance,
-    erect_perpendicular,
-    extend_along_ray,
-    intersect_circle_line,
-    line_through,
-    midpoint,
 )
 
 __all__ = [
@@ -93,13 +96,32 @@ class StepOp(Enum):
     MARK_SEGMENT = "MarkSegment"
 
 
-_STEP_ARITY = {
-    StepOp.EXTEND: 4,
-    StepOp.BISECT: 2,
-    StepOp.DESCRIBE_CIRCLE: 3,
-    StepOp.ERECT_PERPENDICULAR: 3,
-    StepOp.INTERSECT_CIRCLE_LINE: 2,
-    StepOp.MARK_SEGMENT: 2,
+def _intersect(ns: Any, step: ConstructionStep, circle: Any, line: Any) -> Any:
+    miss = "step {!r}: circle {!r} and line {!r} do not intersect"
+    return _highest(ns, circle, line, GeometricFailureError, miss, step.output, *step.inputs)
+
+
+# Each op's input kinds, its output kind, and what it does over a numeric
+# namespace (see ``kernel``), given its step and input values.
+_OPS: dict[StepOp, tuple[tuple[str, ...], str, Callable[..., Any]]] = {
+    StepOp.EXTEND: (
+        ("point",) * 4,
+        "point",
+        lambda ns, step, through, frm, p, q: _extend(ns, through, frm, _distance(ns, p, q)),
+    ),
+    StepOp.BISECT: (("point",) * 2, "point", lambda ns, step, p, q: _midpoint(ns, p, q)),
+    StepOp.DESCRIBE_CIRCLE: (
+        ("point",) * 3,
+        "circle",
+        lambda ns, step, center, p, q: _circle(ns, center, _distance(ns, p, q)),
+    ),
+    StepOp.ERECT_PERPENDICULAR: (
+        ("point",) * 3,
+        "line",
+        lambda ns, step, at, p, q: _perpendicular(ns, at, _line_through(ns, p, q)),
+    ),
+    StepOp.INTERSECT_CIRCLE_LINE: (("circle", "line"), "point", _intersect),
+    StepOp.MARK_SEGMENT: (("point",) * 2, "segment", lambda ns, step, p, q: (p, q)),
 }
 
 
@@ -131,7 +153,7 @@ class ConstructionStep:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "inputs", tuple(self.inputs))
-        expected = _STEP_ARITY[self.op]
+        expected = len(_OPS[self.op][0])
         if len(self.inputs) != expected:
             raise MalformedTraceError(
                 f"{self.op.value} expects {expected} inputs, got {len(self.inputs)}"
@@ -214,68 +236,67 @@ class ConstructionTrace:
         return cls.from_json_dict(data)
 
 
-def _require(value: Any, cls: type, step: ConstructionStep, name: str) -> Any:
-    if not isinstance(value, cls):
-        raise MalformedTraceError(
-            f"step {step.output!r}: input {name!r} must be a {cls.__name__.lower()}"
-        )
-    return value
+class _Program(NamedTuple):
+    """A step sequence compiled to slots, run over either numeric namespace.
+
+    Slot i holds the entity labelled ``labels[i]``: the initial points
+    first, then each step's output. ``made`` holds the slot and label of
+    each point a step makes. Each op is its function, its step, and the
+    getter of its input values.
+    """
+
+    labels: tuple[str, ...]
+    made: tuple[tuple[int, str], ...]
+    ops: tuple[tuple[Callable[..., Any], ConstructionStep, Callable[[list[Any]], Any]], ...]
+
+    def run(self, ns: Any, initial: list[Any]) -> list[Any]:
+        """Every slot's value, from the initial points' (x, y), which it checks."""
+        env = [_point(ns, x, y) for x, y in initial]
+        for fn, step, inputs in self.ops:
+            env.append(fn(ns, step, *inputs(env)))
+        return env
+
+    def replay(self, initial: Sequence[Point]) -> dict[str, Point]:
+        """The labelled points of a float run from the given points."""
+        env = self.run(FLOATS, [(p.x, p.y) for p in initial])
+        made = {label: Point(*env[slot], label) for slot, label in self.made}
+        return {point.label: point for point in initial} | made
 
 
-def _apply_step(step: ConstructionStep, args: list[Any]) -> Any:
-    if step.op is StepOp.EXTEND:
-        through, frm, p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
-        return extend_along_ray(through, frm, distance(p, q)).with_label(step.output)
-    if step.op is StepOp.BISECT:
-        p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
-        return midpoint(p, q).with_label(step.output)
-    if step.op is StepOp.DESCRIBE_CIRCLE:
-        center, p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
-        return Circle(center, distance(p, q))
-    if step.op is StepOp.ERECT_PERPENDICULAR:
-        at, p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
-        return erect_perpendicular(at, line_through(p, q))
-    if step.op is StepOp.INTERSECT_CIRCLE_LINE:
-        circle = _require(args[0], Circle, step, step.inputs[0])
-        line = _require(args[1], Line, step, step.inputs[1])
-        points = intersect_circle_line(circle, line)
-        if not points:
-            raise GeometricFailureError(
-                f"step {step.output!r}: circle {step.inputs[0]!r} and line "
-                f"{step.inputs[1]!r} do not intersect"
-            )
-        return points[-1].with_label(step.output)
-    # MARK_SEGMENT
-    p, q = (_require(a, Point, step, n) for a, n in zip(args, step.inputs))
-    return Segment(p, q)
-
-
-def _execute(trace: ConstructionTrace) -> dict[str, Any]:
-    """Run a trace, returning every labeled entity (points, circles, ...)."""
-    env: dict[str, Any] = {}
-    for point in trace.initial:
-        if point.label in env:
-            raise MalformedTraceError(f"initial label {point.label!r} defined twice")
-        env[point.label] = point
-    for step in trace.steps:
-        args = []
+# Cached: a sweep runs the same few programs on every call.
+@functools.lru_cache(maxsize=64)
+def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _Program:
+    """Resolve labels to slots, checking label discipline and input kinds."""
+    slots: dict[str, tuple[int, str]] = {}
+    for label in labels:
+        if label in slots:
+            raise MalformedTraceError(f"initial label {label!r} defined twice")
+        slots[label] = (len(slots), "point")
+    ops = []
+    for step in steps:
+        wants, makes, fn = _OPS[step.op]
         for name in step.inputs:
-            if name not in env:
+            if name not in slots:
                 raise MalformedTraceError(f"step input label {name!r} is not defined")
-            args.append(env[name])
-        if step.output in env:
+        if step.output in slots:
             raise MalformedTraceError(f"output label {step.output!r} already defined")
-        env[step.output] = _apply_step(step, args)
-    return env
+        for name, want in zip(step.inputs, wants):
+            if slots[name][1] != want:
+                raise MalformedTraceError(f"step {step.output!r}: input {name!r} must be a {want}")
+        ops.append((fn, step, operator.itemgetter(*(slots[name][0] for name in step.inputs))))
+        slots[step.output] = (len(slots), makes)
+    made = [(slot, label) for label, (slot, kind) in slots.items() if kind == "point"]
+    return _Program(tuple(slots), tuple(made[len(labels) :]), tuple(ops))
 
 
 def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     """Execute a trace and return its labeled points.
 
-    Replay is deterministic: the same trace always reproduces identical
+    The whole trace is checked before any step runs. Replay is
+    deterministic: the same trace always reproduces identical
     coordinates, bit for bit.
     """
-    return {name: value for name, value in _execute(trace).items() if isinstance(value, Point)}
+    return _compile(tuple(p.label for p in trace.initial), trace.steps).replay(trace.initial)
 
 
 def _excess_coefficient(kind: ApplicationKind, lam: float | None) -> float:
@@ -320,15 +341,15 @@ class AreaFamily:
         object.__setattr__(self, "base_L", float(self.base_L))
         if self.lam is not None:
             object.__setattr__(self, "lam", float(self.lam))
-        if not (self.base_L > 0.0):
-            raise ConstructionError(f"base length must be positive, got {self.base_L}")
+        if not (0.0 < self.base_L < math.inf):
+            raise ConstructionError(f"base length must be positive and finite, got {self.base_L}")
         if self.kind is ApplicationKind.EXACT:
             if self.lam is not None:
                 raise ConstructionError("an exact application takes no aspect ratio")
         elif self.lam is None:
             raise ConstructionError(f"{self.kind.value} applications require the aspect ratio lambda")
-        elif not (self.lam > 0.0):
-            raise ConstructionError(f"aspect ratio must be positive, got {self.lam}")
+        elif not (0.0 < self.lam < math.inf):
+            raise ConstructionError(f"aspect ratio must be positive and finite, got {self.lam}")
         object.__setattr__(self, "k", _excess_coefficient(self.kind, self.lam))
 
     @property
@@ -437,11 +458,6 @@ def _given_coordinates(
     return coords
 
 
-def _given_points(spec: ApplicationSpec) -> tuple[Point, ...]:
-    coords = _given_coordinates(spec.kind, spec.base_L, spec.lam, spec.height_y)
-    return tuple(Point(x, y, label) for label, (x, y) in coords.items())
-
-
 def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     """The companion-square construction over the applied rectangle's base.
 
@@ -472,14 +488,18 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built and validated once.
+# The step program of each kind, built, validated and compiled once.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
+_PROGRAMS = {
+    kind: _compile(tuple(_given_coordinates(kind, 1.0, 1.0, 1.0)), _STEPS[kind]) for kind in ApplicationKind
+}
 
 
 def _run_application(spec: ApplicationSpec) -> ApplicationResult:
-    trace = ConstructionTrace(_given_points(spec), _STEPS[spec.kind])
-    env = _execute(trace)
-    points = {name: value for name, value in env.items() if isinstance(value, Point)}
+    coords = _given_coordinates(spec.kind, spec.base_L, spec.lam, spec.height_y)
+    initial = tuple(Point(x, y, label) for label, (x, y) in coords.items())
+    points = _PROGRAMS[spec.kind].replay(initial)
+    trace = ConstructionTrace(initial, _STEPS[spec.kind])
     square_side = distance(points["A"], points["G"])
     base = spec.rect_base
     return ApplicationResult(

@@ -36,7 +36,7 @@ from .constructions import (
     _in_decimal,
     _max_area,
 )
-from .kernel import Point
+from .kernel import Point, _distance
 
 __all__ = [
     "Branch",
@@ -167,7 +167,7 @@ def sample_locus(
     """
     import numpy as np
 
-    from ._batched import distance, execute_batched, given_points
+    from ._batched import ARRAYS, execute_batched, given_points
 
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
@@ -190,7 +190,7 @@ def sample_locus(
         block = heights[start : start + _BLOCK]
         given = given_points(spec.kind, spec.base_L, spec.lam, np.array(block))
         env = execute_batched(steps, given)
-        sides = distance(env["A"], env["G"]).tolist()
+        sides = _distance(ARRAYS, env["A"], env["G"]).tolist()
         uppers += [LocusPoint(x, y, Branch.UPPER) for x, y in zip(sides, block)]
     if kind is not ConicKind.HYPERBOLA:
         return uppers

@@ -258,3 +258,29 @@ def test_solve_overflow(capsys):
     # area/L = 1e600 is not.
     assert run(["solve", "--kind", "exact", "--base", "1e-300", "--area", "1e300"]) == 1
     assert "overflows the float range" in capsys.readouterr().err
+
+
+BASE_NOT_FINITE = "base length must be positive and finite, got inf"
+RATIO_NOT_FINITE = "aspect ratio must be positive and finite, got inf"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["params", "--kind", "parabola", "--base", "inf"], BASE_NOT_FINITE),
+        (["params", "--kind", "hyperbola", "--base", "1", "--lambda", "inf"], RATIO_NOT_FINITE),
+        (["verify", "--kind", "parabola", "--base", "inf"], BASE_NOT_FINITE),
+        (["verify", "--kind", "hyperbola", "--base", "1", "--lambda", "inf"], RATIO_NOT_FINITE),
+        (["construct", "--kind", "exact", "--base", "inf", "--height", "1"], BASE_NOT_FINITE),
+        (["maxarea", "--base", "1", "--lambda", "inf"], RATIO_NOT_FINITE),
+    ],
+)
+def test_an_infinite_base_or_aspect_ratio_exits_1(tmp_path, capsys, argv, message):
+    if argv[0] == "verify":
+        points = tmp_path / "one.csv"
+        points.write_text("x,y,branch\n2.0,1.0,upper\n", encoding="utf-8")
+        argv = [*argv, "--points", str(points), "--tol", "1e-9"]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(f"error: {message}")

@@ -22,7 +22,7 @@ from areaconics.constructions import (
     replay_trace,
     solve_height_for_area,
 )
-from areaconics.kernel import Point, distance
+from areaconics.kernel import Circle, Line, Point, distance, intersect_circle_line
 
 
 def test_apply_exact_reference_case():
@@ -324,6 +324,80 @@ def test_trace_geometric_failure():
     )
     with pytest.raises(GeometricFailureError):
         replay_trace(ConstructionTrace(initial, steps))
+
+
+@pytest.mark.parametrize("up", [1.0, -1.0])
+def test_a_tie_in_y_goes_to_the_larger_x_on_either_side_of_the_foot(up):
+    """A horizontal secant through A: the line runs along -x for up = 1, +x for up = -1."""
+    initial = (Point(0, 0, "A"), Point(1, 0, "U"), Point(0, up, "V"))
+    steps = (
+        ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("A", "A", "U"), "c", "Post.3"),
+        ConstructionStep(StepOp.ERECT_PERPENDICULAR, ("A", "A", "V"), "l", "I.11"),
+        ConstructionStep(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X", "I.1"),
+    )
+    assert replay_trace(ConstructionTrace(initial, steps))["X"] == Point(1.0, 0.0, "X")
+    line = Line(Point(0, 0), (-up, 0.0))
+    assert intersect_circle_line(Circle(Point(0, 0), 1.0), line) == [Point(-1.0, 0.0), Point(1.0, 0.0)]
+
+
+AB = (Point(0, 0, "A"), Point(1, 0, "B"))
+
+
+@pytest.mark.parametrize(
+    "initial, steps, message",
+    [
+        (
+            AB,
+            ((StepOp.DESCRIBE_CIRCLE, ("A", "A", "B"), "c"), (StepOp.BISECT, ("c", "A"), "M")),
+            "step 'M': input 'c' must be a point",
+        ),
+        (
+            AB,
+            ((StepOp.MARK_SEGMENT, ("A", "B"), "s"), (StepOp.BISECT, ("A", "s"), "M")),
+            "step 'M': input 's' must be a point",
+        ),
+        (
+            AB,
+            ((StepOp.MARK_SEGMENT, ("A", "B"), "s"), (StepOp.INTERSECT_CIRCLE_LINE, ("A", "s"), "X")),
+            "step 'X': input 'A' must be a circle",
+        ),
+        (
+            AB,
+            ((StepOp.DESCRIBE_CIRCLE, ("A", "A", "B"), "c"), (StepOp.INTERSECT_CIRCLE_LINE, ("c", "B"), "X")),
+            "step 'X': input 'B' must be a line",
+        ),
+        ((Point(0, 0, "A"), Point(1, 0, "A")), (), "initial label 'A' defined twice"),
+        (AB, ((StepOp.BISECT, ("Q", "B"), "F"),), "step input label 'Q' is not defined"),
+        (AB, ((StepOp.BISECT, ("A", "B"), "A"),), "output label 'A' already defined"),
+    ],
+)
+def test_malformed_trace_messages(initial, steps, message):
+    steps = tuple(ConstructionStep(op, inputs, output, "I.1") for op, inputs, output in steps)
+    with pytest.raises(MalformedTraceError) as caught:
+        replay_trace(ConstructionTrace(initial, steps))
+    assert type(caught.value) is MalformedTraceError
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "late_step, message",
+    [
+        ((StepOp.BISECT, ("Q", "A"), "M"), "step input label 'Q' is not defined"),
+        ((StepOp.BISECT, ("small", "A"), "M"), "step 'M': input 'small' must be a point"),
+    ],
+)
+def test_malformed_later_step_is_reported_before_an_earlier_geometric_failure(late_step, message):
+    """The whole trace is checked before any step runs."""
+    initial = (Point(0, 0, "A"), Point(1, 0, "B"), Point(3, 0, "P"))
+    steps = (
+        ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("A", "A", "B"), "small", "Post.3"),
+        ConstructionStep(StepOp.ERECT_PERPENDICULAR, ("P", "A", "P"), "far", "I.11"),
+        ConstructionStep(StepOp.INTERSECT_CIRCLE_LINE, ("small", "far"), "X", "I.3"),
+        ConstructionStep(*late_step, "I.10"),
+    )
+    with pytest.raises(MalformedTraceError) as caught:
+        replay_trace(ConstructionTrace(initial, steps))
+    assert str(caught.value) == message
 
 
 def test_trace_arity_and_labels_validated():

@@ -4,6 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from areaconics.constructions import (
+    ApplicationKind,
+    ConstructionError,
+    apply_deficient,
+    apply_exact,
+    apply_excess,
+    solve_height_for_area,
+)
 from areaconics.kernel import Point, distance
 from areaconics.locus import (
     Branch,
@@ -162,6 +170,49 @@ def test_max_applicable_area_examples():
     assert max_applicable_area(1, 0.25) == (1.0, 0.5)
     with pytest.raises(LocusError):
         max_applicable_area(0, 1)
+
+
+BASE_NOT_FINITE = "base length must be positive and finite, got {}"
+RATIO_NOT_FINITE = "aspect ratio must be positive and finite, got inf"
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, message",
+    [
+        # An infinite L used to reach the construction, and fail there.
+        (ConicKind.PARABOLA, math.inf, None, BASE_NOT_FINITE.format("inf")),
+        (ConicKind.ELLIPSE, math.inf, 1.0, BASE_NOT_FINITE.format("inf")),
+        (ConicKind.ELLIPSE, 1.0, math.inf, RATIO_NOT_FINITE),
+        (ConicKind.HYPERBOLA, 1.0, math.inf, RATIO_NOT_FINITE),
+        (ConicKind.HYPERBOLA, -math.inf, 1.0, BASE_NOT_FINITE.format("-inf")),
+    ],
+)
+def test_an_infinite_base_or_aspect_ratio_is_rejected(kind, base, lam, message):
+    sample_range = SampleRange(1.0, 2.0, 3)
+    with pytest.raises(LocusError) as caught:
+        sample_locus(kind, base, sample_range, lam)
+    assert str(caught.value) == message
+    for call in (
+        lambda: conic_params(kind, base, lam),
+        lambda: verify_residuals([LocusPoint(1.0, 1.0)], kind, base, lam, tol=1e-9),
+    ):
+        with pytest.raises(LocusError, match=f"^{message}$"):
+            call()
+    application_kind, application = {
+        ConicKind.PARABOLA: (ApplicationKind.EXACT, lambda y: apply_exact(base, y)),
+        ConicKind.ELLIPSE: (ApplicationKind.DEFICIENT, lambda y: apply_deficient(base, lam, y)),
+        ConicKind.HYPERBOLA: (ApplicationKind.EXCESS, lambda y: apply_excess(base, lam, y)),
+    }[kind]
+    with pytest.raises(ConstructionError) as caught:
+        for y in sample_range.heights():
+            application(y)
+    assert type(caught.value) is ConstructionError
+    assert str(caught.value) == message
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
+        solve_height_for_area(application_kind, base, 1.0, lam)
+    if lam is not None:
+        with pytest.raises(LocusError, match=f"^{message}$"):
+            max_applicable_area(base, lam)
 
 
 def test_max_applicable_area_out_of_float_range():
