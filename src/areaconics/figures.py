@@ -13,6 +13,7 @@ and asymptotes), solid strokes for companion-square boundaries.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any
@@ -216,7 +217,7 @@ def _clip_line_to_box(
     )
 
 
-def scene_from_locus(points: list[LocusPoint], spec: ConicSpec) -> Scene:
+def scene_from_locus(points: Sequence[LocusPoint], spec: ConicSpec) -> Scene:
     """Diagram of sampled locus points with their generating lines.
 
     Each point gets a dot, the dashed top of its applied rectangle, and

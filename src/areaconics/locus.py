@@ -12,9 +12,12 @@ y = -L/(2*lam).
 closed forms live in ``conic_params`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
-cross check on sampled points. Only those two functions import numpy,
-each at its first call, so code that neither sweeps nor fits (most CLI
-verbs) never loads it.
+cross check on sampled points. A sweep returns its points as columns,
+a ``LocusSamples``; ``verify_residuals``, ``fit_conic_oracle``, ``mirror``
+and ``write_locus_csv`` work on those columns directly and loop over any
+other iterable. Only the code that sweeps, fits or reads the columns
+imports numpy, at its first call, so code that does none of these (most
+CLI verbs) never loads it.
 """
 
 from __future__ import annotations
@@ -22,10 +25,11 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path as FilePath
-from typing import Any, Iterable, Sequence
+from typing import Any
 
 from .constructions import (
     _STEPS,
@@ -45,6 +49,7 @@ __all__ = [
     "DegenerateFitError",
     "LocusError",
     "LocusPoint",
+    "LocusSamples",
     "SampleRange",
     "VerificationReport",
     "conic_params",
@@ -106,6 +111,59 @@ class LocusPoint:
         object.__setattr__(self, "y", float(self.y))
 
 
+class LocusSamples(Sequence[LocusPoint]):
+    """Locus points held as columns: x and y float arrays and a ``lower`` mask.
+
+    ``lower`` marks the hyperbola's lower-branch points. As a sequence it
+    behaves like a list of ``LocusPoint``s, each built when accessed: a
+    slice is a ``LocusSamples``, ``==`` against any sequence of points
+    compares as two lists would, and ``+`` with a list gives a list. The
+    columns are read-only views, so the value is immutable.
+    """
+
+    __slots__ = ("x", "y", "lower")
+
+    def __init__(self, x: Any, y: Any, lower: Any) -> None:
+        import numpy as np
+
+        columns = [np.asarray(c, dtype).view() for c, dtype in ((x, float), (y, float), (lower, bool))]
+        if any(c.shape != columns[0].shape or c.ndim != 1 for c in columns):
+            raise LocusError("x, y and lower must be one-dimensional columns of one length")
+        for c in columns:
+            c.flags.writeable = False
+        self.x, self.y, self.lower = columns
+
+    def __len__(self) -> int:
+        return len(self.x)
+
+    def __getitem__(self, index: Any) -> Any:
+        if isinstance(index, slice):
+            return LocusSamples(self.x[index], self.y[index], self.lower[index])
+        return LocusPoint(float(self.x[index]), float(self.y[index]), _BRANCH[bool(self.lower[index])])
+
+    def __iter__(self) -> Any:
+        for x, y, lower in zip(self.x.tolist(), self.y.tolist(), self.lower.tolist()):
+            yield LocusPoint(x, y, _BRANCH[lower])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __add__(self, other: Any) -> Any:
+        return list(self) + other if isinstance(other, list) else NotImplemented
+
+    def __radd__(self, other: Any) -> Any:
+        return other + list(self) if isinstance(other, list) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"LocusSamples({list(self)!r})"
+
+
+# The branch of a point by its ``lower`` flag.
+_BRANCH = {False: Branch.UPPER, True: Branch.LOWER}
+
+
 @dataclass(frozen=True)
 class SampleRange:
     """Uniform sampling grid over heights [y_min, y_max], endpoints included."""
@@ -148,7 +206,7 @@ def sample_locus(
     base_L: float,
     sample_range: SampleRange,
     lam: float | None = None,
-) -> list[LocusPoint]:
+) -> LocusSamples:
     """Trace the locus by running the matching construction at each height.
 
     Heights are uniform on the range. Each point's x is the square side
@@ -159,7 +217,8 @@ def sample_locus(
     raises what ``apply_*`` raises at the first failing height. For the
     hyperbola the result also contains the lower-branch reflections
     across the conjugate axis, appended after the upper block; each
-    block is ordered by ascending y.
+    block is ordered by ascending y. The points come back as columns, a
+    ``LocusSamples``.
 
     Heights must be strictly constructible: y > 0 everywhere, and
     lam * y_max < L for the ellipse (at lam*y = L the applied rectangle
@@ -178,29 +237,47 @@ def sample_locus(
             f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
             "the deficiency would consume the whole base"
         )
-    heights = sample_range.heights()
+    heights = np.array(sample_range.heights())
     # The heights ascend from y_min > 0 to y_max, inside the bounds checked
     # above, so the application's checks pass at every height if they pass
     # at the first (an infinite y_max makes the first height NaN, which the
     # spec rejects).
-    spec = ApplicationSpec(family.kind, family.base_L, heights[0], family.lam)
+    spec = ApplicationSpec(family.kind, family.base_L, float(heights[0]), family.lam)
     steps = _STEPS[spec.kind]
-    uppers: list[LocusPoint] = []
+    sides = np.empty_like(heights)
     for start in range(0, len(heights), _BLOCK):
         block = heights[start : start + _BLOCK]
-        given = given_points(spec.kind, spec.base_L, spec.lam, np.array(block))
-        env = execute_batched(steps, given)
-        sides = _distance(ARRAYS, env["A"], env["G"]).tolist()
-        uppers += [LocusPoint(x, y, Branch.UPPER) for x, y in zip(sides, block)]
+        env = execute_batched(steps, given_points(spec.kind, spec.base_L, spec.lam, block))
+        sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
+    upper = np.zeros(len(heights), bool)
     if kind is not ConicKind.HYPERBOLA:
-        return uppers
-    lowers = [LocusPoint(p.x, family.reflect(p.y), Branch.LOWER) for p in uppers]
-    lowers.sort(key=lambda p: p.y)
-    return uppers + lowers
+        return LocusSamples(sides, heights, upper)
+    # -L/k - y is only non-increasing in floats, so reflected heights can
+    # tie; a stable sort keeps those in ascending x, where a reversal
+    # would flip them.
+    reflected = family.reflect(heights)
+    order = np.argsort(reflected, kind="stable")
+    return LocusSamples(
+        np.concatenate((sides, sides[order])),
+        np.concatenate((heights, reflected[order])),
+        np.concatenate((upper, ~upper)),
+    )
 
 
-def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:
-    """Append the (-x, y) mirror images; points on the axis self-mirror."""
+def mirror(points: Sequence[LocusPoint]) -> Sequence[LocusPoint]:
+    """Append the (-x, y) mirror images; points on the axis self-mirror.
+
+    A ``LocusSamples`` gives a ``LocusSamples``; any other sequence a list.
+    """
+    if isinstance(points, LocusSamples):
+        import numpy as np
+
+        off_axis = points.x != 0.0
+        return LocusSamples(
+            np.concatenate((points.x, -points.x[off_axis])),
+            np.concatenate((points.y, points.y[off_axis])),
+            np.concatenate((points.lower, points.lower[off_axis])),
+        )
     mirrored = [LocusPoint(-p.x, p.y, p.branch) for p in points if p.x != 0.0]
     return list(points) + mirrored
 
@@ -374,6 +451,40 @@ class VerificationReport:
         return out
 
 
+def _residual_forms(family: AreaFamily) -> Callable[[Any, Any, Any], tuple[Any, Any]]:
+    """The conic's residuals at points: ``residuals(x, y, vertex_y) -> (vertex, standard)``.
+
+    Plain arithmetic, so the coordinates may be floats or numpy arrays.
+    ``vertex_y`` is y with lower-branch points reflected first; the vertex
+    form is |x**2 - (L*y + k*y**2)| at it, and the standard form is
+    dimensionless. Both are >= 0 or nan.
+    """
+    base_L, k = family.base_L, family.k
+    if k == 0.0:
+
+        def parabola(x: Any, y: Any, vertex_y: Any) -> tuple[Any, Any]:
+            # k = 0 skips k*y*y, which is nan at an infinite height; x**2 = L*y
+            # is already the parabola's standard form.
+            residual = abs(x * x - base_L * vertex_y)
+            return residual, residual
+
+        return parabola
+    # The standard form about the center y = c = -L/(2k) is
+    # (y - c)**2/c**2 + s*x**2/a**2 = 1, with s = +1 for the ellipse and -1
+    # for the hyperbola; symmetric about c, so both branches check as they
+    # are.
+    center = -base_L / (2.0 * k)
+    a = base_L / (2.0 * math.sqrt(abs(k)))
+    c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
+
+    def central(x: Any, y: Any, vertex_y: Any) -> tuple[Any, Any]:
+        d = y - center
+        residual = abs(x * x - (base_L * vertex_y + k * vertex_y * vertex_y))
+        return residual, abs(d * d / c2 + s * (x * x / a2) - 1.0)
+
+    return central
+
+
 def verify_residuals(
     points: Iterable[LocusPoint],
     kind: ConicKind,
@@ -384,42 +495,44 @@ def verify_residuals(
     """Check sampled points against the conic's equations; never raises on failure.
 
     ``tol`` must be finite and nonnegative: a nan or negative one would fail
-    exact points, an infinite one pass any.
+    exact points, an infinite one pass any. A ``LocusSamples`` is checked
+    on its columns, any other iterable point by point, to the same report.
     """
     family = _family(kind, base_L, lam)
     if not (0.0 <= tol < math.inf):
         raise LocusError(f"tolerance must be finite and nonnegative, got {tol}")
-    base_L, k = family.base_L, family.k
-    if k != 0.0:
-        # The standard form about the center y = c = -L/(2k) is
-        # (y - c)**2/c**2 + s*x**2/a**2 = 1, with s = +1 for the ellipse and
-        # -1 for the hyperbola; symmetric about c, so both branches check as
-        # they are.
-        center = -base_L / (2.0 * k)
-        a = base_L / (2.0 * math.sqrt(abs(k)))
-        c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
-    # Residuals are >= 0 or nan, so -1 lets the first point in. A nan
-    # residual is the worst: ``not residual <= max`` records it, and a nan
-    # maximum (max != max) then keeps the first one.
-    max_residual = -1.0
+    base_L = family.base_L
+    residuals = _residual_forms(family)
+    # A nan residual is the worst: the worst point is the first nan, else
+    # the first maximum.
+    max_residual = max_standard = -1.0
     worst: LocusPoint | None = None
-    max_standard = -1.0
     standard_worst: LocusPoint | None = None
-    for p in points:
-        y = family.reflect(p.y) if p.branch is Branch.LOWER else p.y
-        # k = 0 skips k*y*y, which is nan at an infinite height.
-        residual = abs(p.x * p.x - (base_L * y if k == 0.0 else base_L * y + k * y * y))
-        if not residual <= max_residual and max_residual == max_residual:
-            max_residual = residual
-            worst = p
-        if k == 0.0:
-            # x**2 = L*y is already the parabola's standard form.
-            standard = residual
-        else:
-            standard = abs((p.y - center) ** 2 / c2 + s * (p.x * p.x / a2) - 1.0)
-        if not standard <= max_standard and max_standard == max_standard:
-            max_standard = standard
-            standard_worst = p
+    if isinstance(points, LocusSamples):
+        import numpy as np
+
+        if len(points):
+            x, y = points.x, points.y
+            with np.errstate(all="ignore"):
+                residual, standard = residuals(x, y, np.where(points.lower, family.reflect(y), y))
+            # argmax returns the first nan if there is one.
+            i, j = int(residual.argmax()), int(standard.argmax())
+            max_residual, worst = float(residual[i]), points[i]
+            max_standard, standard_worst = float(standard[j]), points[j]
+    else:
+        # Residuals are >= 0 or nan, so -1 lets the first point in;
+        # ``not residual <= max`` records a nan, and a nan maximum
+        # (max != max) then keeps the first one.
+        lower_branch = Branch.LOWER
+        for p in points:
+            y = p.y
+            residual, standard = residuals(p.x, y, family.reflect(y) if p.branch is lower_branch else y)
+            if not residual <= max_residual and max_residual == max_residual:
+                max_residual = residual
+                worst = p
+            if not standard <= max_standard and max_standard == max_standard:
+                max_standard = standard
+                standard_worst = p
     if worst is None:  # no points
         max_residual = max_standard = 0.0
     threshold = tol * max(1.0, base_L * base_L)
@@ -472,8 +585,11 @@ def fit_conic_oracle(
     n = len(points)
     if n < 6:
         raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {n}")
-    x = np.fromiter([p.x for p in points], float, n)
-    y = np.fromiter([p.y for p in points], float, n)
+    if isinstance(points, LocusSamples):
+        x, y = points.x, points.y
+    else:
+        x = np.fromiter([p.x for p in points], float, n)
+        y = np.fromiter([p.y for p in points], float, n)
     with np.errstate(over="ignore", invalid="ignore"):
         design = np.column_stack((x * x, x * y, y * y, x, y, np.ones(n)))
     finite = np.isfinite(design)
@@ -497,6 +613,10 @@ def write_locus_csv(points: Iterable[LocusPoint], path: str | FilePath) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "branch"])
+        if isinstance(points, LocusSamples):
+            branches = [_BRANCH[lower].value for lower in points.lower.tolist()]
+            writer.writerows(zip(map(repr, points.x.tolist()), map(repr, points.y.tolist()), branches))
+            return
         for p in points:
             writer.writerow([repr(p.x), repr(p.y), p.branch.value])
 

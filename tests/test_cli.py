@@ -10,6 +10,15 @@ import pytest
 
 from areaconics.cli import run
 from areaconics.constructions import ConstructionTrace, replay_trace
+from areaconics.locus import (
+    ConicKind,
+    LocusSamples,
+    SampleRange,
+    mirror,
+    sample_locus,
+    verify_residuals,
+    write_locus_csv,
+)
 
 
 def test_maxarea_prints_json(capsys):
@@ -114,6 +123,19 @@ def test_verify_detects_mismatch(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] is False
     assert report["max_residual"] > report["threshold"]
+
+
+@pytest.mark.parametrize("scale, code", [(1.0, 0), (1.001, 2)])
+def test_verify_reads_columns_written_to_csv_as_verify_residuals_does(tmp_path, capsys, scale, code):
+    samples = mirror(sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.2, 1.6, 9), 0.5))
+    samples = LocusSamples(samples.x * scale, samples.y, samples.lower)
+    csv_path = tmp_path / "hyperbola.csv"
+    write_locus_csv(samples, csv_path)
+    report = verify_residuals(samples, ConicKind.HYPERBOLA, 2.0, 0.5, 1e-9)
+    argv = ["verify", "--points", str(csv_path), "--kind", "hyperbola", "--base", "2", "--lambda", "0.5"]
+    assert run([*argv, "--tol", "1e-9"]) == code
+    assert json.loads(capsys.readouterr().out) == report.to_json_dict()
+    assert report.passed is (code == 0)
 
 
 def test_params_json(capsys):

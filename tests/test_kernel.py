@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from areaconics._batched import ARRAYS, _Failure, execute_batched
+from areaconics.constructions import ConstructionStep, StepOp
 from areaconics.kernel import (
     DEFAULT_TOLERANCE,
     Circle,
@@ -11,6 +13,7 @@ from areaconics.kernel import (
     OffLineError,
     Point,
     Tolerance,
+    _highest,
     distance,
     erect_perpendicular,
     extend_along_ray,
@@ -218,3 +221,37 @@ def test_overflowing_offset_is_off_the_line():
     base = Line(Point(-1e308, 0.0), (1.0, 0.0))
     with pytest.raises(OffLineError):
         erect_perpendicular(Point(1e308, 5.0), base)
+
+
+def test_a_secant_whose_squares_overflow_fails_on_its_nan_points():
+    # r**2 and h**2 both overflow, so the gap r**2 - h**2 is inf - inf =
+    # nan: neither a miss nor a tangent, and both secant points are nan.
+    message = "point coordinates must be finite, got (nan, nan)"
+    with pytest.raises(ValueError) as caught:
+        intersect_circle_line(Circle(Point(0.0, 0.0), 2e200), Line(Point(0.0, 1e200), (1.0, 0.0)))
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+    # The same circle and line at row 1 of a batched run, after a plain
+    # secant at row 0 (radius 2, line y = 1).
+    radius, height = np.array([2.0, 2e200]), np.array([1.0, 1e200])
+    circle = ((0.0, 0.0), radius)
+    line = ((0.0, height), (1.0, 0.0))
+    with np.errstate(all="ignore"), pytest.raises(_Failure) as located:
+        _highest(ARRAYS, circle, line, ValueError, "circle and line do not meet")
+    assert located.value.args == (1,)
+    # The program: circle O(|OR|); the perpendicular at P to the line from
+    # U down to O, the line through P along +x; their highest meeting point.
+    steps = (
+        ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("O", "O", "R"), "circle", "I.Def.18"),
+        ConstructionStep(StepOp.ERECT_PERPENDICULAR, ("P", "U", "O"), "line", "I.11"),
+        ConstructionStep(StepOp.INTERSECT_CIRCLE_LINE, ("circle", "line"), "X", "II.14"),
+    )
+    zeros = np.zeros(2)
+    given = {"O": (zeros, zeros), "R": (radius, zeros), "P": (zeros, height), "U": (zeros, zeros + 1.0)}
+    with pytest.raises(ValueError) as caught:
+        execute_batched(steps, given)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == message
+    # Row 0 alone runs: the secant through (+-sqrt(3), 1), highest by (y, x).
+    env = execute_batched(steps, {label: (x[:1], y[:1]) for label, (x, y) in given.items()})
+    assert (env["X"][0][0], env["X"][1][0]) == (math.sqrt(3.0), 1.0)

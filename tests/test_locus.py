@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from areaconics.locus import (
     DegenerateFitError,
     LocusError,
     LocusPoint,
+    LocusSamples,
     SampleRange,
     conic_params,
     fit_conic_oracle,
@@ -58,6 +60,59 @@ def test_sample_hyperbola_has_both_branches():
     # reflection across the conjugate axis y = -L/(2 lambda) = -1
     assert any(p.y == -3.0 and p.x == pytest.approx(math.sqrt(3.0), rel=1e-12) for p in lowers)
     assert [p.y for p in lowers] == sorted(p.y for p in lowers)
+
+
+def _columns(points):
+    """The same points as a ``LocusSamples``."""
+    points = list(points)
+    return LocusSamples([p.x for p in points], [p.y for p in points], [p.branch is Branch.LOWER for p in points])
+
+
+def test_sample_locus_returns_a_sequence_of_points():
+    points = sample_locus(ConicKind.HYPERBOLA, 2, SampleRange(1.0, 2.0, 3), lam=1)
+    assert isinstance(points, LocusSamples) and isinstance(points, Sequence)
+    as_list = list(points)
+    assert len(points) == len(as_list) == 6
+    assert [points[i] for i in range(-6, 6)] == as_list + as_list
+    assert type(points[0].x) is float and points[4].branch is Branch.LOWER
+    with pytest.raises(IndexError):
+        points[6]
+    for part in (slice(1, 4), slice(None, None, -2), slice(3, 3)):
+        assert isinstance(points[part], LocusSamples)
+        assert points[part] == as_list[part]
+    assert points == as_list and as_list == points
+    assert points == tuple(as_list) and points == _columns(as_list)
+    assert points != as_list[:-1] and as_list[:-1] != points
+    assert points != as_list[::-1] and points != 3
+    extra = [LocusPoint(0.0, 0.0)]
+    assert type(points + extra) is list and points + extra == as_list + extra
+    assert type(extra + points) is list and extra + points == extra + as_list
+    assert as_list[2] in points and points.index(as_list[2]) == 2
+    assert repr(points[:1]) == f"LocusSamples([{as_list[0]!r}])"
+    with pytest.raises(ValueError):
+        points.x[0] = 5.0  # the columns are read-only
+    with pytest.raises(TypeError):
+        hash(points)
+
+
+def test_locus_samples_rejects_ragged_columns():
+    with pytest.raises(LocusError, match="one-dimensional columns of one length"):
+        LocusSamples([1.0], [1.0, 2.0], [False])
+    with pytest.raises(LocusError, match="one-dimensional columns of one length"):
+        LocusSamples([[1.0]], [[1.0]], [[False]])
+    empty = LocusSamples([], [], [])
+    assert len(empty) == 0 and empty == [] and list(empty) == []
+
+
+def test_lower_branch_ties_keep_x_ascending():
+    # y is far below the last bit of L/lam = 1e20, so every reflected
+    # height -L/lam - y rounds to -1e20; a reversal would flip x there.
+    points = sample_locus(ConicKind.HYPERBOLA, 1, SampleRange(0.05, 2, 4), lam=1e-20)
+    xs = [0.22360679774997902, 0.8366600265340757, 1.161895003862225, 1.4142135623730951]
+    heights = [0.05, 0.7000000000000001, 1.35, 2.0]
+    assert list(points) == [LocusPoint(x, y, Branch.UPPER) for x, y in zip(xs, heights)] + [
+        LocusPoint(x, -1e20, Branch.LOWER) for x in xs
+    ]
 
 
 def test_sample_range_validation():
@@ -278,6 +333,71 @@ def test_verify_residuals_nan_is_worst():
     assert math.isnan(report.max_residual) and math.isnan(report.max_standard_residual)
     assert report.worst == report.standard_worst
     assert math.isnan(report.worst.x)
+
+
+def _same_report(points, kind, lam, tol=1e-9):
+    """``verify_residuals`` of a list and of the same points as columns: one report."""
+    by_loop = verify_residuals(list(points), kind, 2, lam, tol)
+    by_columns = verify_residuals(_columns(points), kind, 2, lam, tol)
+    # repr compares nan fields too, and shows a numpy scalar in the report.
+    assert repr(by_columns) == repr(by_loop)
+    return by_loop
+
+
+KINDS = [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 1.0), (ConicKind.HYPERBOLA, 1.5)]
+
+
+@pytest.mark.parametrize("kind, lam", KINDS)
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_verify_residuals_loop_and_columns_agree(kind, lam, mirrored):
+    samples = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
+    if mirrored:
+        samples = mirror(samples)
+    report = _same_report(samples, kind, lam)
+    assert report.passed
+    assert verify_residuals(samples, kind, 2, lam) == report
+    assert _same_report([], kind, lam) == verify_residuals(samples[:0], kind, 2, lam)
+    # Off the curve: the tolerance fails.
+    off = LocusSamples(samples.x * 1.01, samples.y, samples.lower)
+    assert not _same_report(off, kind, lam).passed
+    # The first nan is the worst, in both forms.
+    points = list(samples)
+    points[3:3] = [LocusPoint(math.nan, 1.0), LocusPoint(5.0, 1.0), LocusPoint(math.nan, 0.5)]
+    report = _same_report(points, kind, lam)
+    assert math.isnan(report.worst.x) and report.worst.y == 1.0
+    assert report.standard_worst == report.worst
+    # Of two equal maxima (mirror images), the first is the worst.
+    report = _same_report(points[:3] + [LocusPoint(3.0, 1.0), LocusPoint(-3.0, 1.0)] + points[6:], kind, lam)
+    assert report.worst == report.standard_worst == LocusPoint(3.0, 1.0)
+
+
+def test_verify_residuals_overflow_is_an_infinite_residual():
+    # (y - c)**2 overflows; ``** 2`` used to raise OverflowError here.
+    report = _same_report([LocusPoint(1.0, 1e200)], ConicKind.ELLIPSE, 1.0)
+    assert not report.passed
+    assert report.max_residual == report.max_standard_residual == math.inf
+
+
+@pytest.mark.parametrize("kind, lam", KINDS)
+def test_columns_mirror_fit_and_write_as_lists_do(tmp_path, kind, lam):
+    samples = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
+    mirrored = mirror(samples)
+    assert isinstance(mirrored, LocusSamples) and mirrored == mirror(list(samples))
+    assert fit_conic_oracle(mirrored) == fit_conic_oracle(list(mirrored))
+    by_columns, by_loop = tmp_path / "columns.csv", tmp_path / "loop.csv"
+    write_locus_csv(mirrored, by_columns)
+    write_locus_csv(list(mirrored), by_loop)
+    assert by_columns.read_bytes() == by_loop.read_bytes()
+    # Points on the axis, either zero, are their own mirror images.
+    points = [
+        LocusPoint(0.0, 0.0),
+        LocusPoint(2.0, 1.0),
+        LocusPoint(-0.0, -3.0, Branch.LOWER),
+        LocusPoint(-1.5, 0.5),
+        LocusPoint(1.0, -2.0, Branch.LOWER),
+    ]
+    assert mirror(_columns(points)) == mirror(points)
+    assert len(mirror(points)) == 8
 
 
 def test_residuals_invariant_under_mirroring():
