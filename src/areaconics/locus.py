@@ -13,11 +13,10 @@ closed forms live in ``conic_params`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
 cross check on sampled points. A sweep returns its points as columns,
-a ``LocusSamples``; ``verify_residuals``, ``fit_conic_oracle``, ``mirror``
-and ``write_locus_csv`` work on those columns directly and loop over any
-other iterable. Only the code that sweeps, fits or reads the columns
-imports numpy, at its first call, so code that does none of these (most
-CLI verbs) never loads it.
+a ``LocusSamples``, which ``verify_residuals`` checks on the columns
+directly; every other function loops over the points. Only the code that
+sweeps, fits or reads the columns imports numpy, at its first call, so
+code that does none of these (most CLI verbs) never loads it.
 """
 
 from __future__ import annotations
@@ -118,7 +117,9 @@ class LocusSamples(Sequence[LocusPoint]):
     behaves like a list of ``LocusPoint``s, each built when accessed: a
     slice is a ``LocusSamples``, ``==`` against any sequence of points
     compares as two lists would, and ``+`` with a list gives a list. The
-    columns are read-only views, so the value is immutable.
+    columns are read-only views, not copies: a caller that passes in its
+    own float or bool arrays keeps them, and writing to them changes the
+    samples. The value is not frozen; set no attribute after construction.
     """
 
     __slots__ = ("x", "y", "lower")
@@ -264,20 +265,8 @@ def sample_locus(
     )
 
 
-def mirror(points: Sequence[LocusPoint]) -> Sequence[LocusPoint]:
-    """Append the (-x, y) mirror images; points on the axis self-mirror.
-
-    A ``LocusSamples`` gives a ``LocusSamples``; any other sequence a list.
-    """
-    if isinstance(points, LocusSamples):
-        import numpy as np
-
-        off_axis = points.x != 0.0
-        return LocusSamples(
-            np.concatenate((points.x, -points.x[off_axis])),
-            np.concatenate((points.y, points.y[off_axis])),
-            np.concatenate((points.lower, points.lower[off_axis])),
-        )
+def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:
+    """Append the (-x, y) mirror images; points on the axis self-mirror."""
     mirrored = [LocusPoint(-p.x, p.y, p.branch) for p in points if p.x != 0.0]
     return list(points) + mirrored
 
@@ -585,11 +574,8 @@ def fit_conic_oracle(
     n = len(points)
     if n < 6:
         raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {n}")
-    if isinstance(points, LocusSamples):
-        x, y = points.x, points.y
-    else:
-        x = np.fromiter([p.x for p in points], float, n)
-        y = np.fromiter([p.y for p in points], float, n)
+    x = np.fromiter([p.x for p in points], float, n)
+    y = np.fromiter([p.y for p in points], float, n)
     with np.errstate(over="ignore", invalid="ignore"):
         design = np.column_stack((x * x, x * y, y * y, x, y, np.ones(n)))
     finite = np.isfinite(design)
@@ -613,10 +599,6 @@ def write_locus_csv(points: Iterable[LocusPoint], path: str | FilePath) -> None:
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["x", "y", "branch"])
-        if isinstance(points, LocusSamples):
-            branches = [_BRANCH[lower].value for lower in points.lower.tolist()]
-            writer.writerows(zip(map(repr, points.x.tolist()), map(repr, points.y.tolist()), branches))
-            return
         for p in points:
             writer.writerow([repr(p.x), repr(p.y), p.branch.value])
 

@@ -11,6 +11,7 @@ import pytest
 from areaconics.cli import run
 from areaconics.constructions import ConstructionTrace, replay_trace
 from areaconics.locus import (
+    Branch,
     ConicKind,
     LocusSamples,
     SampleRange,
@@ -127,8 +128,10 @@ def test_verify_detects_mismatch(tmp_path, capsys):
 
 @pytest.mark.parametrize("scale, code", [(1.0, 0), (1.001, 2)])
 def test_verify_reads_columns_written_to_csv_as_verify_residuals_does(tmp_path, capsys, scale, code):
-    samples = mirror(sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.2, 1.6, 9), 0.5))
-    samples = LocusSamples(samples.x * scale, samples.y, samples.lower)
+    points = mirror(sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.2, 1.6, 9), 0.5))
+    samples = LocusSamples(
+        [p.x * scale for p in points], [p.y for p in points], [p.branch is Branch.LOWER for p in points]
+    )
     csv_path = tmp_path / "hyperbola.csv"
     write_locus_csv(samples, csv_path)
     report = verify_residuals(samples, ConicKind.HYPERBOLA, 2.0, 0.5, 1e-9)

@@ -352,7 +352,7 @@ KINDS = [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 1.0), (ConicKind.HYPERB
 def test_verify_residuals_loop_and_columns_agree(kind, lam, mirrored):
     samples = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
     if mirrored:
-        samples = mirror(samples)
+        samples = _columns(mirror(samples))
     report = _same_report(samples, kind, lam)
     assert report.passed
     assert verify_residuals(samples, kind, 2, lam) == report
@@ -379,10 +379,10 @@ def test_verify_residuals_overflow_is_an_infinite_residual():
 
 
 @pytest.mark.parametrize("kind, lam", KINDS)
-def test_columns_mirror_fit_and_write_as_lists_do(tmp_path, kind, lam):
+def test_mirror_fit_and_write_take_columns_as_lists(tmp_path, kind, lam):
     samples = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
-    mirrored = mirror(samples)
-    assert isinstance(mirrored, LocusSamples) and mirrored == mirror(list(samples))
+    assert mirror(samples) == mirror(list(samples))
+    mirrored = _columns(mirror(samples))
     assert fit_conic_oracle(mirrored) == fit_conic_oracle(list(mirrored))
     by_columns, by_loop = tmp_path / "columns.csv", tmp_path / "loop.csv"
     write_locus_csv(mirrored, by_columns)
