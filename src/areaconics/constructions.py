@@ -23,13 +23,14 @@ import functools
 import json
 import math
 import operator
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Sequence
 
 from .kernel import (
     FLOATS,
     Point,
+    _bind,
+    _Value,
     _circle,
     _distance,
     _extend,
@@ -125,8 +126,7 @@ _OPS: dict[StepOp, tuple[tuple[str, ...], str, Callable[..., Any]]] = {
 }
 
 
-@dataclass(frozen=True)
-class ConstructionStep:
+class ConstructionStep(_Value):
     """One primitive construction step.
 
     Input semantics by op (all inputs are labels of earlier entities):
@@ -146,13 +146,17 @@ class ConstructionStep:
     "I.10" or "II.14"; it is documentation payload, not control flow.
     """
 
-    op: StepOp
-    inputs: tuple[str, ...]
-    output: str
-    citation: str
+    __match_args__ = ("op", "inputs", "output", "citation")
+
+    def __init__(self, op: StepOp, inputs: Sequence[str], output: str, citation: str) -> None:
+        _bind(self, "op", op)
+        _bind(self, "inputs", tuple(inputs))
+        _bind(self, "output", output)
+        _bind(self, "citation", citation)
+        # Through the class attribute, which the benchmark's tracer wraps to count calls.
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "inputs", tuple(self.inputs))
         expected = len(_OPS[self.op][0])
         if len(self.inputs) != expected:
             raise MalformedTraceError(
@@ -164,8 +168,7 @@ class ConstructionStep:
             raise MalformedTraceError("step citation must be non-empty")
 
 
-@dataclass(frozen=True)
-class ConstructionTrace:
+class ConstructionTrace(_Value):
     """Ordered construction steps over an initial labeled configuration.
 
     ``initial`` holds the given points (always at least A and B; for the
@@ -176,15 +179,15 @@ class ConstructionTrace:
     with a precise error.
     """
 
-    initial: tuple[Point, ...]
-    steps: tuple[ConstructionStep, ...]
+    __match_args__ = ("initial", "steps")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "initial", tuple(self.initial))
-        object.__setattr__(self, "steps", tuple(self.steps))
-        for point in self.initial:
+    def __init__(self, initial: Sequence[Point], steps: Sequence[ConstructionStep]) -> None:
+        initial, steps = tuple(initial), tuple(steps)
+        for point in initial:
             if point.label is None:
                 raise MalformedTraceError("initial points must be labeled")
+        _bind(self, "initial", initial)
+        _bind(self, "steps", steps)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -320,8 +323,7 @@ def _rect_base(base_L: float, k: float, height: Any) -> Any:
 _CORNER_SUFFIX = {ApplicationKind.EXACT: "", ApplicationKind.DEFICIENT: "⁻", ApplicationKind.EXCESS: "⁺"}
 
 
-@dataclass(frozen=True)
-class AreaFamily:
+class AreaFamily(_Value):
     """The relation x**2 = L*y + k*y**2 shared by the three applications.
 
     An application of kind ``kind`` over a base of length L applies, at
@@ -332,25 +334,26 @@ class AreaFamily:
     Conics I.11-13). Building the value validates L and lambda.
     """
 
-    kind: ApplicationKind
-    base_L: float
-    lam: float | None = None
-    k: float = field(init=False)
+    __match_args__ = ("kind", "base_L", "lam")
+    _fields = ("kind", "base_L", "lam", "k")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "base_L", float(self.base_L))
-        if self.lam is not None:
-            object.__setattr__(self, "lam", float(self.lam))
-        if not (0.0 < self.base_L < math.inf):
-            raise ConstructionError(f"base length must be positive and finite, got {self.base_L}")
-        if self.kind is ApplicationKind.EXACT:
-            if self.lam is not None:
+    def __init__(self, kind: ApplicationKind, base_L: float, lam: float | None = None) -> None:
+        base_L = float(base_L)
+        if lam is not None:
+            lam = float(lam)
+        if not (0.0 < base_L < math.inf):
+            raise ConstructionError(f"base length must be positive and finite, got {base_L}")
+        if kind is ApplicationKind.EXACT:
+            if lam is not None:
                 raise ConstructionError("an exact application takes no aspect ratio")
-        elif self.lam is None:
-            raise ConstructionError(f"{self.kind.value} applications require the aspect ratio lambda")
-        elif not (0.0 < self.lam < math.inf):
-            raise ConstructionError(f"aspect ratio must be positive and finite, got {self.lam}")
-        object.__setattr__(self, "k", _excess_coefficient(self.kind, self.lam))
+        elif lam is None:
+            raise ConstructionError(f"{kind.value} applications require the aspect ratio lambda")
+        elif not (0.0 < lam < math.inf):
+            raise ConstructionError(f"aspect ratio must be positive and finite, got {lam}")
+        _bind(self, "kind", kind)
+        _bind(self, "base_L", base_L)
+        _bind(self, "lam", lam)
+        _bind(self, "k", _excess_coefficient(kind, lam))
 
     @property
     def corner_suffix(self) -> str:
@@ -370,36 +373,36 @@ class AreaFamily:
         return -self.base_L / self.k - y if self.k > 0.0 else y
 
 
-@dataclass(frozen=True)
-class ApplicationSpec:
+class ApplicationSpec(_Value):
     """Parameters of one application of areas.
 
     ``lam`` is the aspect ratio (horizontal side / vertical side) of the
     reference rectangle governing the deficiency or excess; it must be
     absent for the exact kind, where no reference rectangle exists.
-    ``family`` is the validated area family of ``kind``, L and lam.
+    ``family`` is the validated area family of ``kind``, L and lam; it
+    is left out of ``==``, ``hash`` and ``repr``.
     """
 
-    kind: ApplicationKind
-    base_L: float
-    height_y: float
-    lam: float | None = None
-    family: AreaFamily = field(init=False, repr=False, compare=False)
+    __match_args__ = ("kind", "base_L", "height_y", "lam")
 
-    def __post_init__(self) -> None:
-        family = AreaFamily(self.kind, self.base_L, self.lam)
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "base_L", family.base_L)
-        object.__setattr__(self, "lam", family.lam)
-        object.__setattr__(self, "height_y", float(self.height_y))
-        if not (self.height_y > 0.0):
-            raise ConstructionError(f"rectangle height must be positive, got {self.height_y}")
+    def __init__(
+        self, kind: ApplicationKind, base_L: float, height_y: float, lam: float | None = None
+    ) -> None:
+        family = AreaFamily(kind, base_L, lam)
+        height_y = float(height_y)
+        if not (height_y > 0.0):
+            raise ConstructionError(f"rectangle height must be positive, got {height_y}")
         # Only a deficiency can consume the base: b = L - lam*y <= 0 exactly when lam*y >= L.
-        if not (self.rect_base > 0.0):
+        if not (family.rect_base(height_y) > 0.0):
             raise DeficiencyExceedsBaseError(
                 f"deficiency consumes the base: lambda*height = "
-                f"{self.lam * self.height_y} >= base {self.base_L}"
+                f"{family.lam * height_y} >= base {family.base_L}"
             )
+        _bind(self, "kind", kind)
+        _bind(self, "base_L", family.base_L)
+        _bind(self, "height_y", height_y)
+        _bind(self, "lam", family.lam)
+        _bind(self, "family", family)
 
     @property
     def rect_base(self) -> float:
@@ -407,21 +410,32 @@ class ApplicationSpec:
         return self.family.rect_base(self.height_y)
 
 
-@dataclass(frozen=True)
-class ApplicationResult:
+class ApplicationResult(_Value):
     """Output of one application: figure points, scalars, and the trace.
 
     Invariants (within tolerance): ``area_X == rect_base_b * height_y``,
     ``square_side_g**2 == area_X``, and ``J == (square_side_g, height_y)``.
     """
 
-    spec: ApplicationSpec
-    rect_base_b: float
-    area_X: float
-    square_side_g: float
-    J: Point
-    figure_points: dict[str, Point]
-    trace: ConstructionTrace
+    __match_args__ = ("spec", "rect_base_b", "area_X", "square_side_g", "J", "figure_points", "trace")
+
+    def __init__(
+        self,
+        spec: ApplicationSpec,
+        rect_base_b: float,
+        area_X: float,
+        square_side_g: float,
+        J: Point,
+        figure_points: dict[str, Point],
+        trace: ConstructionTrace,
+    ) -> None:
+        _bind(self, "spec", spec)
+        _bind(self, "rect_base_b", rect_base_b)
+        _bind(self, "area_X", area_X)
+        _bind(self, "square_side_g", square_side_g)
+        _bind(self, "J", J)
+        _bind(self, "figure_points", figure_points)
+        _bind(self, "trace", trace)
 
     def summary(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.spec.kind.value, "base_L": self.spec.base_L}

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
 from .constructions import ApplicationKind, ApplicationResult, ApplicationSpec, _run_application
-from .kernel import Circle, Point, Segment, distance
+from .kernel import Circle, Point, Segment, _bind, _Value, distance
 from .locus import (
     _APPLICATION_KIND,
     Branch,
@@ -65,42 +64,49 @@ class Stroke(Enum):
     DASHED = "dashed"
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(_Value):
     """Circular arc, angles in radians with start < end, counterclockwise."""
 
-    circle: Circle
-    start_angle: float
-    end_angle: float
+    __match_args__ = ("circle", "start_angle", "end_angle")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "start_angle", float(self.start_angle))
-        object.__setattr__(self, "end_angle", float(self.end_angle))
-        if not (self.start_angle < self.end_angle):
-            raise FigureError(
-                f"arc angles must satisfy start < end, got [{self.start_angle}, {self.end_angle}]"
-            )
+    def __init__(self, circle: Circle, start_angle: float, end_angle: float) -> None:
+        start_angle, end_angle = float(start_angle), float(end_angle)
+        if not (start_angle < end_angle):
+            raise FigureError(f"arc angles must satisfy start < end, got [{start_angle}, {end_angle}]")
+        _bind(self, "circle", circle)
+        _bind(self, "start_angle", start_angle)
+        _bind(self, "end_angle", end_angle)
 
 
-@dataclass(frozen=True)
-class Dot:
-    point: Point
+class Dot(_Value):
+    """A marked point."""
+
+    __match_args__ = ("point",)
+
+    def __init__(self, point: Point) -> None:
+        _bind(self, "point", point)
 
 
-@dataclass(frozen=True)
-class Label:
-    anchor: Point
-    text: str
+class Label(_Value):
+    """Non-empty text placed next to ``anchor``."""
 
-    def __post_init__(self) -> None:
-        if not self.text:
+    __match_args__ = ("anchor", "text")
+
+    def __init__(self, anchor: Point, text: str) -> None:
+        if not text:
             raise FigureError("label text must be non-empty")
+        _bind(self, "anchor", anchor)
+        _bind(self, "text", text)
 
 
-@dataclass(frozen=True)
-class StyledPrimitive:
-    shape: Segment | Arc | Dot | Label
-    stroke: Stroke = Stroke.SOLID
+class StyledPrimitive(_Value):
+    """A shape and its stroke."""
+
+    __match_args__ = ("shape", "stroke")
+
+    def __init__(self, shape: Segment | Arc | Dot | Label, stroke: Stroke = Stroke.SOLID) -> None:
+        _bind(self, "shape", shape)
+        _bind(self, "stroke", stroke)
 
 
 def _shape_extent(shape: Segment | Arc | Dot | Label) -> tuple[float, float, float, float]:
@@ -126,21 +132,23 @@ def _extent(primitives: tuple[StyledPrimitive, ...]) -> tuple[float, float, floa
     )
 
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(_Value):
     """Ordered styled primitives, with an optional explicit bounding box."""
 
-    primitives: tuple[StyledPrimitive, ...]
-    bounds: tuple[float, float, float, float] | None = None
+    __match_args__ = ("primitives", "bounds")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "primitives", tuple(self.primitives))
-        if self.bounds is not None and self.primitives:
-            x0, y0, x1, y1 = self.bounds
-            ex0, ey0, ex1, ey1 = _extent(self.primitives)
+    def __init__(
+        self, primitives: Sequence[StyledPrimitive], bounds: tuple[float, float, float, float] | None = None
+    ) -> None:
+        primitives = tuple(primitives)
+        if bounds is not None and primitives:
+            x0, y0, x1, y1 = bounds
+            ex0, ey0, ex1, ey1 = _extent(primitives)
             slack = 1e-9 * max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
             if ex0 < x0 - slack or ey0 < y0 - slack or ex1 > x1 + slack or ey1 > y1 + slack:
                 raise FigureError("explicit scene bounds do not contain all primitives")
+        _bind(self, "primitives", primitives)
+        _bind(self, "bounds", bounds)
 
 
 def scene_from_application(result: ApplicationResult) -> Scene:

@@ -25,7 +25,6 @@ import csv
 import math
 import operator
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path as FilePath
 from typing import Any
@@ -39,7 +38,7 @@ from .constructions import (
     _in_decimal,
     _max_area,
 )
-from .kernel import Point, _distance
+from .kernel import Point, _bind, _distance, _Value
 
 __all__ = [
     "Branch",
@@ -93,21 +92,19 @@ class Branch(Enum):
     LOWER = "lower"
 
 
-@dataclass(frozen=True)
-class LocusPoint:
+class LocusPoint(_Value):
     """One traced point: x is the square side, y the rectangle height.
 
     ``branch`` distinguishes the hyperbola's two branches; everything
     else lives on the upper branch.
     """
 
-    x: float
-    y: float
-    branch: Branch = Branch.UPPER
+    __match_args__ = ("x", "y", "branch")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
+    def __init__(self, x: float, y: float, branch: Branch = Branch.UPPER) -> None:
+        _bind(self, "x", float(x))
+        _bind(self, "y", float(y))
+        _bind(self, "branch", branch)
 
 
 class LocusSamples(Sequence[LocusPoint]):
@@ -165,33 +162,45 @@ class LocusSamples(Sequence[LocusPoint]):
 _BRANCH = {False: Branch.UPPER, True: Branch.LOWER}
 
 
-@dataclass(frozen=True)
-class SampleRange:
+class SampleRange(_Value):
     """Uniform sampling grid over heights [y_min, y_max], endpoints included."""
 
-    y_min: float
-    y_max: float
-    n: int
+    __match_args__ = ("y_min", "y_max", "n")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "y_min", float(self.y_min))
-        object.__setattr__(self, "y_max", float(self.y_max))
+    def __init__(self, y_min: float, y_max: float, n: int) -> None:
+        y_min, y_max = float(y_min), float(y_max)
         try:
-            object.__setattr__(self, "n", operator.index(self.n))
+            n = operator.index(n)
         except TypeError as exc:
-            raise LocusError(f"sample count must be an integer, got {self.n!r}") from exc
-        if not (self.y_min >= 0.0):
-            raise LocusError(f"y_min must be nonnegative, got {self.y_min}")
-        if not (self.y_min < self.y_max):
-            raise LocusError(f"need y_min < y_max, got [{self.y_min}, {self.y_max}]")
-        if self.n < 2:
-            raise LocusError(f"need at least 2 samples, got {self.n}")
+            raise LocusError(f"sample count must be an integer, got {n!r}") from exc
+        if not (y_min >= 0.0):
+            raise LocusError(f"y_min must be nonnegative, got {y_min}")
+        if not (y_min < y_max):
+            raise LocusError(f"need y_min < y_max, got [{y_min}, {y_max}]")
+        if n < 2:
+            raise LocusError(f"need at least 2 samples, got {n}")
+        _bind(self, "y_min", y_min)
+        _bind(self, "y_max", y_max)
+        _bind(self, "n", n)
 
     def heights(self) -> list[float]:
-        step = (self.y_max - self.y_min) / (self.n - 1)
-        values = [self.y_min + i * step for i in range(self.n)]
+        """The n heights y_min + i*step, the last one y_max exactly: the heights a sweep takes."""
+        y_min, step = self.y_min, self._step()
+        values = [_grid_height(y_min, step, i) for i in range(self.n)]
         values[-1] = self.y_max
         return values
+
+    def _step(self) -> float:
+        """The grid spacing; the last height, y_min + (n-1)*step, may round away from y_max."""
+        return (self.y_max - self.y_min) / (self.n - 1)
+
+
+def _grid_height(y_min: float, step: float, index: Any) -> Any:
+    """The height y_min + i*step at grid index i.
+
+    Plain arithmetic, so ``index`` may be an int or a numpy array of them.
+    """
+    return y_min + index * step
 
 
 def _family(kind: ConicKind, base_L: float, lam: float | None) -> AreaFamily:
@@ -238,7 +247,10 @@ def sample_locus(
             f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
             "the deficiency would consume the whole base"
         )
-    heights = np.array(sample_range.heights())
+    # Silent, as in floats: at an infinite y_max, 0*inf is nan.
+    with np.errstate(all="ignore"):
+        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(sample_range.n))
+    heights[-1] = sample_range.y_max
     # The heights ascend from y_min > 0 to y_max, inside the bounds checked
     # above, so the application's checks pass at every height if they pass
     # at the first (an infinite y_max makes the first height NaN, which the
@@ -271,8 +283,7 @@ def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:
     return list(points) + mirrored
 
 
-@dataclass(frozen=True)
-class ConicSpec:
+class ConicSpec(_Value):
     """Closed-form parameters of a traced conic.
 
     Fields that do not apply to a kind are absent (None/empty) rather
@@ -280,28 +291,52 @@ class ConicSpec:
     Vertices are the curve's points on the height axis.
     """
 
-    kind: ConicKind
-    base_L: float
-    lam: float | None = None
-    center: Point | None = None
-    semi_axis_x: float | None = None
-    semi_axis_y: float | None = None
-    vertices: tuple[Point, ...] = ()
-    eccentricity: float | None = None
-    asymptote_slopes: tuple[float, float] | None = None
-    conjugate_axis_y: float | None = None
+    __match_args__ = (
+        "kind",
+        "base_L",
+        "lam",
+        "center",
+        "semi_axis_x",
+        "semi_axis_y",
+        "vertices",
+        "eccentricity",
+        "asymptote_slopes",
+        "conjugate_axis_y",
+    )
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if self.kind is ConicKind.ELLIPSE:
-            if self.eccentricity is None or not (0.0 <= self.eccentricity < 1.0):
-                raise LocusError(f"ellipse eccentricity must be in [0, 1), got {self.eccentricity}")
-        if self.kind is ConicKind.HYPERBOLA:
-            if self.eccentricity is None or not (self.eccentricity > 1.0):
-                raise LocusError(f"hyperbola eccentricity must exceed 1, got {self.eccentricity}")
-        has_asymptotes = self.asymptote_slopes is not None or self.conjugate_axis_y is not None
-        if has_asymptotes != (self.kind is ConicKind.HYPERBOLA):
+    def __init__(
+        self,
+        kind: ConicKind,
+        base_L: float,
+        lam: float | None = None,
+        center: Point | None = None,
+        semi_axis_x: float | None = None,
+        semi_axis_y: float | None = None,
+        vertices: Sequence[Point] = (),
+        eccentricity: float | None = None,
+        asymptote_slopes: tuple[float, float] | None = None,
+        conjugate_axis_y: float | None = None,
+    ) -> None:
+        vertices = tuple(vertices)
+        if kind is ConicKind.ELLIPSE:
+            if eccentricity is None or not (0.0 <= eccentricity < 1.0):
+                raise LocusError(f"ellipse eccentricity must be in [0, 1), got {eccentricity}")
+        if kind is ConicKind.HYPERBOLA:
+            if eccentricity is None or not (eccentricity > 1.0):
+                raise LocusError(f"hyperbola eccentricity must exceed 1, got {eccentricity}")
+        has_asymptotes = asymptote_slopes is not None or conjugate_axis_y is not None
+        if has_asymptotes != (kind is ConicKind.HYPERBOLA):
             raise LocusError("asymptote fields are present exactly for the hyperbola")
+        _bind(self, "kind", kind)
+        _bind(self, "base_L", base_L)
+        _bind(self, "lam", lam)
+        _bind(self, "center", center)
+        _bind(self, "semi_axis_x", semi_axis_x)
+        _bind(self, "semi_axis_y", semi_axis_y)
+        _bind(self, "vertices", vertices)
+        _bind(self, "eccentricity", eccentricity)
+        _bind(self, "asymptote_slopes", asymptote_slopes)
+        _bind(self, "conjugate_axis_y", conjugate_axis_y)
 
     def implicit_coefficients(self) -> tuple[float, float, float, float, float, float]:
         """Coefficients (a, b, c, d, e, f) of a*x^2 + b*xy + c*y^2 + d*x + e*y + f = 0.
@@ -396,8 +431,7 @@ def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
     return area, base_L / 2.0
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Value):
     """Residual summary for a point set against a conic's equations.
 
     ``max_residual`` is over the vertex-form equation (x**2 versus
@@ -409,16 +443,42 @@ class VerificationReport:
     such point is reported as the worst, and the check fails.
     """
 
-    kind: ConicKind
-    base_L: float
-    lam: float | None
-    tol: float
-    threshold: float
-    passed: bool
-    max_residual: float
-    worst: LocusPoint | None
-    max_standard_residual: float
-    standard_worst: LocusPoint | None
+    __match_args__ = (
+        "kind",
+        "base_L",
+        "lam",
+        "tol",
+        "threshold",
+        "passed",
+        "max_residual",
+        "worst",
+        "max_standard_residual",
+        "standard_worst",
+    )
+
+    def __init__(
+        self,
+        kind: ConicKind,
+        base_L: float,
+        lam: float | None,
+        tol: float,
+        threshold: float,
+        passed: bool,
+        max_residual: float,
+        worst: LocusPoint | None,
+        max_standard_residual: float,
+        standard_worst: LocusPoint | None,
+    ) -> None:
+        _bind(self, "kind", kind)
+        _bind(self, "base_L", base_L)
+        _bind(self, "lam", lam)
+        _bind(self, "tol", tol)
+        _bind(self, "threshold", threshold)
+        _bind(self, "passed", passed)
+        _bind(self, "max_residual", max_residual)
+        _bind(self, "worst", worst)
+        _bind(self, "max_standard_residual", max_standard_residual)
+        _bind(self, "standard_worst", standard_worst)
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind.value, "base_L": self.base_L}

@@ -219,6 +219,14 @@ def test_cli_import_stays_off_the_network_stack():
     assert _fresh_python(code).strip() == "[]"
 
 
+def test_cli_import_builds_no_dataclasses():
+    # dataclasses pulls in inspect, ast, dis and tokenize, and generates
+    # each class's methods from source at import.
+    heavy = ("dataclasses", "inspect")
+    code = "import sys, areaconics.cli; print([m for m in %r if m in sys.modules])" % (heavy,)
+    assert _fresh_python(code).strip() == "[]"
+
+
 # Runs each argv through cli.run and prints the steps after which numpy
 # was loaded ("import" for the package import itself) or the exit code
 # was not 0.

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from collections.abc import Sequence
 
 import numpy as np
@@ -133,6 +134,30 @@ def test_sample_range_count_must_be_integral():
         sample_range = SampleRange(0.1, 1.0, n)
         assert type(sample_range.n) is int
         assert sample_range.heights() == [0.1, 0.55, 1.0]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sweep_heights_are_the_grid_heights_bit_for_bit(seed):
+    """The sweep's y column, worked out over arrays, is ``heights()`` exactly."""
+    rng = np.random.default_rng(seed)
+    for _ in range(8):
+        y_min = 10.0 ** rng.uniform(-3, 3)
+        y_max = y_min * (1.0 + 10.0 ** rng.uniform(-12, 4))
+        sample_range = SampleRange(y_min, y_max, int(rng.integers(2, 3000)))
+        heights = np.array(sample_range.heights())
+        assert heights[-1] == y_max
+        for kind, lam in ((ConicKind.PARABOLA, None), (ConicKind.HYPERBOLA, 1.0)):
+            samples = sample_locus(kind, 1.0, sample_range, lam)
+            y = samples.y[: sample_range.n]
+            assert y.view(np.int64).tolist() == heights.view(np.int64).tolist()
+
+
+def test_an_infinite_top_height_fails_as_at_the_first_height():
+    # y_min + 0*inf is nan, without a numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConstructionError, match="rectangle height must be positive, got nan"):
+            sample_locus(ConicKind.PARABOLA, 1.0, SampleRange(0.1, math.inf, 3))
 
 
 def test_sample_locus_feasibility():
