@@ -17,6 +17,7 @@ from .figures import standard_figure, render_svg, scene_from_application
 from .locus import (
     ConicKind,
     SampleRange,
+    _family,
     conic_params,
     max_applicable_area,
     read_locus_csv,
@@ -146,15 +147,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_locus(args: argparse.Namespace) -> int:
     _check_lambda(args.kind, args.lam)
     kind = ConicKind(args.kind)
+    family = _family(kind, args.base, args.lam)
     if (args.y_min is None) != (args.y_max is None):
         raise ValueError("--y-min and --y-max must be given together")
     if args.y_min is None:
         if kind is ConicKind.ELLIPSE:
             # the ellipse only exists for heights below L/lambda
-            top = args.base / args.lam
+            top = family.base_L / family.lam
             y_min, y_max = _DEFAULT_SPAN[0] * top, _DEFAULT_SPAN[1] * top
         else:
-            y_min, y_max = _DEFAULT_SPAN[0] * args.base, 2.0 * args.base
+            y_min, y_max = _DEFAULT_SPAN[0] * family.base_L, 2.0 * family.base_L
     else:
         y_min, y_max = args.y_min, args.y_max
     points = sample_locus(kind, args.base, SampleRange(y_min, y_max, args.samples), args.lam)

@@ -302,23 +302,6 @@ def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     return _compile(tuple(p.label for p in trace.initial), trace.steps).replay(trace.initial)
 
 
-def _excess_coefficient(kind: ApplicationKind, lam: float | None) -> float:
-    """k of x**2 = L*y + k*y**2: 0 (exact), -lam (deficient) or +lam (excess)."""
-    if kind is ApplicationKind.EXACT:
-        return 0.0
-    assert lam is not None
-    return -lam if kind is ApplicationKind.DEFICIENT else lam
-
-
-def _rect_base(base_L: float, k: float, height: Any) -> Any:
-    """The applied rectangle's base b = L + k*y.
-
-    Plain arithmetic, so ``height`` may be a float or a numpy array. At
-    k = 0 the base is L itself, even at an infinite height (0*inf is nan).
-    """
-    return base_L if k == 0.0 else base_L + k * height
-
-
 # The label suffix of the applied rectangle's corners B and C.
 _CORNER_SUFFIX = {ApplicationKind.EXACT: "", ApplicationKind.DEFICIENT: "⁻", ApplicationKind.EXCESS: "⁺"}
 
@@ -353,7 +336,8 @@ class AreaFamily(_Value):
         _bind(self, "kind", kind)
         _bind(self, "base_L", base_L)
         _bind(self, "lam", lam)
-        _bind(self, "k", _excess_coefficient(kind, lam))
+        # k of x**2 = L*y + k*y**2: 0 (exact), -lam (deficient) or +lam (excess).
+        _bind(self, "k", 0.0 if lam is None else -lam if kind is ApplicationKind.DEFICIENT else lam)
 
     @property
     def corner_suffix(self) -> str:
@@ -361,8 +345,12 @@ class AreaFamily(_Value):
         return _CORNER_SUFFIX[self.kind]
 
     def rect_base(self, height: Any) -> Any:
-        """b = L + k*y, for a float or a numpy array of heights."""
-        return _rect_base(self.base_L, self.k, height)
+        """The applied rectangle's base b = L + k*y.
+
+        Plain arithmetic, so ``height`` may be a float or a numpy array. At
+        k = 0 the base is L itself, even at an infinite height (0*inf is nan).
+        """
+        return self.base_L if self.k == 0.0 else self.base_L + self.k * height
 
     def reflect(self, y: float) -> float:
         """The height mirrored across the conjugate axis y = -L/(2k): -L/k - y.
@@ -449,18 +437,16 @@ class ApplicationResult(_Value):
         return out
 
 
-def _given_coordinates(
-    kind: ApplicationKind, base_L: float, lam: float | None, height: Any
-) -> dict[str, tuple[Any, Any]]:
+def _given_coordinates(family: AreaFamily, height: Any) -> dict[str, tuple[Any, Any]]:
     """The given configuration: segment AB plus the applied rectangle corners.
 
     Maps each label to its (x, y); ``height`` may be a float or a numpy
-    array, and the constant coordinates stay scalars. The parameters are
-    not validated: a degenerate configuration fails in the construction.
-    For the exact kind the applied corners are B and C themselves.
+    array, and the constant coordinates stay scalars. The height is not
+    validated: a degenerate configuration fails in the construction. For
+    the exact kind the applied corners are B and C themselves.
     """
-    b = _rect_base(base_L, _excess_coefficient(kind, lam), height)
-    suffix = _CORNER_SUFFIX[kind]
+    b = family.rect_base(height)
+    base_L, suffix = family.base_L, family.corner_suffix
     coords = {
         "A": (0.0, 0.0),
         "B": (base_L, 0.0),
@@ -505,12 +491,17 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
 # The step program of each kind, built, validated and compiled once.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
 _PROGRAMS = {
-    kind: _compile(tuple(_given_coordinates(kind, 1.0, 1.0, 1.0)), _STEPS[kind]) for kind in ApplicationKind
+    family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
+    for family in (
+        AreaFamily(ApplicationKind.EXACT, 1.0),
+        AreaFamily(ApplicationKind.DEFICIENT, 1.0, 1.0),
+        AreaFamily(ApplicationKind.EXCESS, 1.0, 1.0),
+    )
 }
 
 
 def _run_application(spec: ApplicationSpec) -> ApplicationResult:
-    coords = _given_coordinates(spec.kind, spec.base_L, spec.lam, spec.height_y)
+    coords = _given_coordinates(spec.family, spec.height_y)
     initial = tuple(Point(x, y, label) for label, (x, y) in coords.items())
     points = _PROGRAMS[spec.kind].replay(initial)
     trace = ConstructionTrace(initial, _STEPS[spec.kind])

@@ -2,10 +2,10 @@
 
 Every construction in this package reduces to the operations here:
 midpoints, ray extensions, perpendiculars, circle-line intersections,
-and distance measurement, all on binary64 coordinates under an explicit
-relative/absolute tolerance model. The canonical frame places the base
-segment endpoint A at the origin with the base along +x and rectangle
-heights along +y.
+and distance measurement, all on binary64 coordinates under one fixed
+relative/absolute tolerance pair (``_EPS_REL``, ``_EPS_ABS``). The
+canonical frame places the base segment endpoint A at the origin with
+the base along +x and rectangle heights along +y.
 
 Each primitive is written once, over a numeric namespace ``ns``.
 ``FLOATS`` runs them on float coordinates; ``_batched.ARRAYS`` runs them
@@ -29,14 +29,12 @@ from typing import Any, Callable
 
 __all__ = [
     "Circle",
-    "DEFAULT_TOLERANCE",
     "DegenerateRayError",
     "GeometryError",
     "Line",
     "OffLineError",
     "Point",
     "Segment",
-    "Tolerance",
     "distance",
     "erect_perpendicular",
     "extend_along_ray",
@@ -107,25 +105,12 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Tolerance(_Value):
-    """Relative/absolute tolerance pair of the kernel's checks.
-
-    A quantity q at scale s counts as zero when
-    ``|q| <= max(eps_abs, eps_rel * s)``: a point's offset from a line,
-    and the gap between a circle's squared radius and a line's squared
-    distance from its center.
-    """
-
-    __match_args__ = ("eps_rel", "eps_abs")
-
-    def __init__(self, eps_rel: float = 1e-9, eps_abs: float = 1e-12) -> None:
-        if not (eps_rel > 0.0 and eps_abs > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        _bind(self, "eps_rel", eps_rel)
-        _bind(self, "eps_abs", eps_abs)
-
-
-DEFAULT_TOLERANCE = Tolerance()
+# The kernel's relative/absolute tolerance pair. A quantity q at scale s
+# counts as zero when |q| <= max(_EPS_ABS, _EPS_REL * s): a point's offset
+# from a line, and the gap between a circle's squared radius and a line's
+# squared distance from its center.
+_EPS_REL = 1e-9
+_EPS_ABS = 1e-12
 
 
 class Point(_Value):
@@ -246,7 +231,7 @@ def _perpendicular(ns: Any, at: Any, base: Any) -> tuple[Any, tuple[Any, Any]]:
     off = abs(off_x * uy - off_y * ux)
     span = ns.maximum(1.0, ns.hypot(off_x, off_y))
     # Written so that a nan offset (an overflowing one) fails too.
-    on_line = off <= ns.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * span)
+    on_line = off <= ns.maximum(_EPS_ABS, _EPS_REL * span)
     ns.check(on_line, OffLineError, "point ({}, {}) does not lie on the base line", *at)
     return _line(ns, at, -uy, ux)
 
@@ -269,7 +254,7 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     h2 = hx * hx + hy * hy
     r2 = radius * radius
     gap = r2 - h2
-    band = ns.maximum(DEFAULT_TOLERANCE.eps_abs, DEFAULT_TOLERANCE.eps_rel * r2)
+    band = ns.maximum(_EPS_ABS, _EPS_REL * r2)
     tangent = gap <= band
     half = ns.sqrt(ns.where(tangent, 0.0, gap))
     low = (foot_x - half * ux, foot_y - half * uy)

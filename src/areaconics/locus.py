@@ -30,11 +30,12 @@ from pathlib import Path as FilePath
 from typing import Any
 
 from .constructions import (
-    _STEPS,
+    _PROGRAMS,
     ApplicationKind,
     ApplicationSpec,
     AreaFamily,
     ConstructionError,
+    _given_coordinates,
     _in_decimal,
     _max_area,
 )
@@ -236,7 +237,7 @@ def sample_locus(
     """
     import numpy as np
 
-    from ._batched import ARRAYS, execute_batched, given_points
+    from ._batched import ARRAYS, execute_batched
 
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
@@ -255,13 +256,14 @@ def sample_locus(
     # above, so the application's checks pass at every height if they pass
     # at the first (an infinite y_max makes the first height NaN, which the
     # spec rejects).
-    spec = ApplicationSpec(family.kind, family.base_L, float(heights[0]), family.lam)
-    steps = _STEPS[spec.kind]
+    ApplicationSpec(family.kind, family.base_L, float(heights[0]), family.lam)
+    program = _PROGRAMS[family.kind]
     sides = np.empty_like(heights)
-    for start in range(0, len(heights), _BLOCK):
-        block = heights[start : start + _BLOCK]
-        env = execute_batched(steps, given_points(spec.kind, spec.base_L, spec.lam, block))
-        sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
+    # Silent, as in floats: the applied base L + k*y may overflow.
+    with np.errstate(all="ignore"):
+        for start in range(0, len(heights), _BLOCK):
+            env = execute_batched(program, _given_coordinates(family, heights[start : start + _BLOCK]))
+            sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
     upper = np.zeros(len(heights), bool)
     if kind is not ConicKind.HYPERBOLA:
         return LocusSamples(sides, heights, upper)

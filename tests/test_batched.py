@@ -14,9 +14,11 @@ from areaconics._batched import execute_batched
 from areaconics.constructions import (
     _STEPS,
     ApplicationKind,
+    AreaFamily,
     ConstructionStep,
     ConstructionTrace,
     StepOp,
+    _compile,
     _given_coordinates,
     apply_deficient,
     apply_exact,
@@ -54,6 +56,7 @@ def assert_parity(steps, given):
     first failing row.
     """
     rows = len(next(iter(given.values()))[0])
+    program = _compile(tuple(given), steps)
     try:
         expected = [
             replay_trace(
@@ -63,18 +66,19 @@ def assert_parity(steps, given):
         ]
     except ValueError as exc:
         with pytest.raises(type(exc)) as caught:
-            execute_batched(steps, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
+            execute_batched(program, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
         assert_same_error(caught.value, exc)
         return
-    env = execute_batched(steps, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
+    env = execute_batched(program, {label: (np.array(xs), np.array(ys)) for label, (xs, ys) in given.items()})
     for i, points in enumerate(expected):
         for label, p in points.items():
             assert bits(env[label][0][i], env[label][1][i]) == bits(p.x, p.y), (i, label)
 
 
 def companion_square(kind, base, lam, heights):
-    """The given points of ``kind`` at each height, with no validation."""
-    rows = [_given_coordinates(kind, base, lam, y) for y in heights]
+    """The given points of the family's application at each height; the heights are not validated."""
+    family = AreaFamily(kind, base, lam)
+    rows = [_given_coordinates(family, y) for y in heights]
     return {label: ([r[label][0] for r in rows], [r[label][1] for r in rows]) for label in rows[0]}
 
 
@@ -146,29 +150,44 @@ def test_sample_locus_raises_the_first_failing_applications_error(kind, base, la
     assert_same_error(caught.value, expected.value)
 
 
+@pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)])
+def test_a_sweep_runs_the_kinds_compiled_program_without_the_compile_cache(kind, lam):
+    before = _compile.cache_info()
+    sample_locus(kind, 2.0, SampleRange(0.1, 3.0, 3000), lam)
+    assert _compile.cache_info() == before
+
+
 @pytest.mark.parametrize(
-    "kind, base, lam, heights",
+    "kind, given",
     [
-        # B coincides with A: the ray beyond A is undefined.
-        (ApplicationKind.EXACT, 0.0, None, [1.0]),
+        # L = 0, which no family holds: B coincides with A, and the ray
+        # beyond A is undefined.
+        (
+            ApplicationKind.EXACT,
+            {"A": ([0.0], [0.0]), "B": ([0.0], [0.0]), "C": ([0.0], [1.0]), "D": ([0.0], [1.0])},
+        ),
         # The second height fails at the first step.
-        (ApplicationKind.EXACT, 1.0, None, [1.0, 0.0, 2.0]),
+        (ApplicationKind.EXACT, companion_square(ApplicationKind.EXACT, 1.0, None, [1.0, 0.0, 2.0])),
         # The second height's given point is not finite; the third fails later.
-        (ApplicationKind.EXACT, 1.0, None, [1.0, math.inf, 0.0]),
+        (ApplicationKind.EXACT, companion_square(ApplicationKind.EXACT, 1.0, None, [1.0, math.inf, 0.0])),
         # The third height fails on its given point, checked first, but the
         # second fails at a later step and comes first.
-        (ApplicationKind.EXACT, 1.0, None, [2.0, 0.0, math.nan]),
+        (ApplicationKind.EXACT, companion_square(ApplicationKind.EXACT, 1.0, None, [2.0, 0.0, math.nan])),
         # The first height's squared radius overflows into a tangent snap
         # and a zero extension; the second's corner B+ is infinite.
-        (ApplicationKind.EXCESS, 1.0, 1e308, [1.0, 2.0]),
+        (ApplicationKind.EXCESS, companion_square(ApplicationKind.EXCESS, 1.0, 1e308, [1.0, 2.0])),
         # A negative applied base puts B- behind A.
-        (ApplicationKind.DEFICIENT, 1.0, 1.0, [0.25, 2.0, 3.0]),
-        (ApplicationKind.EXACT, 1e300, None, [1e300, 1e-300]),
-        (ApplicationKind.EXACT, math.inf, None, [1.0]),
+        (ApplicationKind.DEFICIENT, companion_square(ApplicationKind.DEFICIENT, 1.0, 1.0, [0.25, 2.0, 3.0])),
+        (ApplicationKind.EXACT, companion_square(ApplicationKind.EXACT, 1e300, None, [1e300, 1e-300])),
+        # L = inf, which no family holds.
+        (
+            ApplicationKind.EXACT,
+            {"A": ([0.0], [0.0]), "B": ([math.inf], [0.0]), "C": ([math.inf], [1.0]), "D": ([0.0], [1.0])},
+        ),
     ],
 )
-def test_invalid_heights_raise_the_first_failing_heights_error(kind, base, lam, heights):
-    assert_parity(_STEPS[kind], companion_square(kind, base, lam, heights))
+def test_invalid_heights_raise_the_first_failing_heights_error(kind, given):
+    assert_parity(_STEPS[kind], given)
 
 
 def step(op, inputs, output):

@@ -114,6 +114,25 @@ def test_locus_default_range(tmp_path):
     assert len(rows) == 6
 
 
+@pytest.mark.parametrize(
+    "family, message",
+    [
+        (["ellipse", "--base", "2", "--lambda", "0"], "aspect ratio must be positive and finite, got 0.0"),
+        (["parabola", "--base", "0"], "base length must be positive and finite, got 0.0"),
+        (["hyperbola", "--base", "-2", "--lambda", "1"], "base length must be positive and finite, got -2.0"),
+        (["parabola", "--base", "inf"], "base length must be positive and finite, got inf"),
+        (["ellipse", "--base", "2", "--lambda", "-1"], "aspect ratio must be positive and finite, got -1.0"),
+        (["ellipse", "--base", "2", "--lambda", "inf"], "aspect ratio must be positive and finite, got inf"),
+    ],
+)
+def test_locus_checks_its_family_before_the_default_range(tmp_path, capsys, family, message):
+    csv_path = tmp_path / "never.csv"
+    assert run(["locus", "--kind", *family, "--samples", "5", "--out", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == f"areaconics: error: {message}"
+    assert not csv_path.exists()
+
+
 def test_verify_detects_mismatch(tmp_path, capsys):
     csv_path = tmp_path / "parabola.csv"
     assert run(["locus", "--kind", "parabola", "--base", "2", "--y-min", "0.2",

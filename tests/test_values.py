@@ -24,7 +24,7 @@ from areaconics.constructions import (
     StepOp,
 )
 from areaconics.figures import Arc, Dot, FigureError, Label, Scene, Stroke, StyledPrimitive
-from areaconics.kernel import Circle, Line, Point, Segment, Tolerance
+from areaconics.kernel import Circle, Line, Point, Segment
 from areaconics.locus import (
     Branch,
     ConicKind,
@@ -92,11 +92,6 @@ def _hyperbola():
 # constructor takes the same fields in the same order, except where
 # INIT_FIELDS says otherwise.
 CASES = {
-    "Tolerance": (
-        lambda: Tolerance(eps_rel=1e-6, eps_abs=1e-10),
-        "Tolerance(eps_rel=1e-06, eps_abs=1e-10)",
-        ("eps_rel", "eps_abs"),
-    ),
     "Point": (
         lambda: Point(x=1, y=2.5, label="A"),
         "Point(x=1.0, y=2.5, label='A')",
@@ -244,7 +239,7 @@ def test_every_public_value_type_is_covered():
     import areaconics
 
     assert {name for name in CASES if hasattr(areaconics, name)} == set(CASES) - {"AreaFamily"}
-    assert len(CASES) == 19
+    assert len(CASES) == 18
 
 
 def test_repr(case):
@@ -318,7 +313,6 @@ def test_copy_round_trip(case, how):
 
 
 def test_defaults():
-    assert Tolerance() == Tolerance(1e-9, 1e-12)
     assert Point(x=1, y=2).label is None
     assert AreaFamily(kind=EXACT, base_L=2) == AreaFamily(EXACT, 2.0, None)
     assert AreaFamily(EXACT, 2).k == 0.0
@@ -357,7 +351,6 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
 @pytest.mark.parametrize(
     "make, error, message",
     [
-        (lambda: Tolerance(0.0, 1e-12), ValueError, "tolerances must be strictly positive"),
         (lambda: Point(math.inf, 0), ValueError, r"point coordinates must be finite, got \(inf, 0.0\)"),
         (lambda: Point(0, 0, ""), ValueError, "point label must be non-empty when present"),
         (lambda: Circle(Point(0, 0), 0), ValueError, "circle radius must be positive, got 0.0"),
