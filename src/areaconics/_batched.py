@@ -5,14 +5,26 @@ the given points change. Here each labelled point holds one numpy array
 per coordinate, with one entry per height, and a compiled program (the
 kind's ``constructions._PROGRAMS`` entry, in a sweep) runs each step once
 over all of them, through the kernel's primitives over the numpy
-namespace ``ARRAYS``. So every entry equals, bit for bit, what the float
-run computes for that height alone. The array checks only find where a
-run fails: the error itself comes from the float run (see
-``execute_batched``).
+namespace ``ARRAYS`` (with a run's own ``check``, ``_Run``). So every
+entry equals, bit for bit, what the float run computes for that height
+alone.
+
+A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
+the base corners' zero y) stays a numpy scalar, so an operation between
+two constants is one scalar operation, not one per height.
+
+A run's checks do not stop it. Each check ANDs its mask into the run's
+one mask, and the run ends with one reduction. Up to a height's first
+failing check its values are the float run's, so the lowest height the
+mask rejects is the first height that fails in floats; the error itself
+comes from the float run (see ``execute_batched``). What a run computes
+past a failed check is discarded.
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
-component, where both are exact.
+component, where both are exact: hypot(x, ±0) is |x| (IEEE 754, C99
+F.9.4.3). ``ARRAYS.hypot`` takes that |x| directly when every row has a
+zero component, and ``np.hypot`` otherwise and on two scalars.
 """
 
 from __future__ import annotations
@@ -26,24 +38,48 @@ from .constructions import _Program
 from .kernel import FLOATS
 
 
-class _Failure(Exception):
-    """A check failed; its argument is the first failing height of this run."""
-
-
-def _locate(ok: Any, error: type[Exception], message: str, *values: Any) -> None:
-    if not ok.all():
-        raise _Failure(int(ok.argmin()))
+def _hypot(x: Any, y: Any) -> Any:
+    # Two constants: one scalar call, cheaper than the test below.
+    if np.ndim(x) == np.ndim(y) == 0:
+        return np.hypot(x, y)
+    ax, ay = np.abs(x), np.abs(y)
+    # Every row's min(|x|, |y|) is zero. A nan row is nonzero here (np.minimum
+    # propagates it) and takes np.hypot, which keeps the nan's sign where
+    # np.abs clears it.
+    if not np.minimum(ax, ay).any():
+        return np.maximum(ax, ay)
+    return np.hypot(x, y)
 
 
 ARRAYS = SimpleNamespace(
     sqrt=np.sqrt,
-    hypot=np.hypot,
+    hypot=_hypot,
     isfinite=np.isfinite,
     maximum=np.maximum,
     where=np.where,
     not_=np.logical_not,
-    check=_locate,
 )
+
+
+class _Run(SimpleNamespace):
+    """``ARRAYS`` for one run, with a check that records: ``ok`` is every mask ANDed."""
+
+    def __init__(self) -> None:
+        super().__init__(**vars(ARRAYS), ok=np.True_)
+
+    def check(self, ok: Any, error: type[Exception], message: str, *values: Any) -> None:
+        self.ok = self.ok & ok
+
+
+def _spread(value: Any, shape: tuple[int, ...]) -> Any:
+    """Each coordinate of an entity broadcast to ``shape``: arrays as they are, scalars as views."""
+    if isinstance(value, tuple):
+        # Most coordinates are already arrays of the run's shape.
+        return tuple([v if isinstance(v, np.ndarray) and v.shape == shape else _spread(v, shape) for v in value])
+    # What np.broadcast_to(value, shape) gives, without its checks (~0.8
+    # against ~6 µs): zero strides over the scalar ``value[()]``, whose
+    # buffer, unlike a 0-d array's, is read-only.
+    return np.ndarray(shape, value.dtype, value[()], strides=(0,) * len(shape))
 
 
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
@@ -51,20 +87,24 @@ def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dic
 
     ``given`` maps the program's initial labels, in its order, to their
     (x, y): numpy arrays, or scalars where a coordinate is the same at
-    every height, which are broadcast to the arrays' shape. Returns every
-    labelled entity; a point is its (x, y) arrays. The array checks only
-    find the first height i that fails a check; an earlier height may
-    still fail at a later step. So on a failure the program runs over
-    floats at heights 0..i one at a time, and raises the first failing
-    height's error, class and message, by construction.
+    every height. Returns every labelled entity, each coordinate an array
+    of the run's shape (a constant one as a broadcast view); a point is
+    its (x, y) arrays. On a failure the run's mask gives the first
+    failing height i; the program then runs over floats at heights 0..i
+    one at a time, and raises the first failing height's error, class
+    and message, by construction.
     """
-    coords = iter(np.broadcast_arrays(*(c for point in given.values() for c in point)))
-    initial = list(zip(coords, coords))
-    try:
-        with np.errstate(all="ignore"):
-            return dict(zip(program.labels, program.run(ARRAYS, initial)))
-    except _Failure as failure:
-        (failing,) = failure.args
+    # A numpy scalar, not a float: float division by zero raises, where
+    # numpy's follows the errstate below.
+    initial = [tuple(c if isinstance(c, np.ndarray) else np.float64(c) for c in point) for point in given.values()]
+    shape = np.broadcast_shapes(*(c.shape for point in initial for c in point))
+    run = _Run()
+    with np.errstate(all="ignore"):
+        env = program.run(run, initial)
+    if run.ok.all():
+        return dict(zip(program.labels, _spread(tuple(env), shape)))
+    failing = int(np.broadcast_to(run.ok, shape).argmin())
+    given_rows = _spread(tuple(initial), shape)
     for i in range(failing + 1):
-        program.run(FLOATS, [(float(x[i]), float(y[i])) for x, y in initial])
+        program.run(FLOATS, [(float(x[i]), float(y[i])) for x, y in given_rows])
     raise AssertionError(f"height {failing} failed a batched check but passes the scalar construction")

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -157,6 +158,12 @@ def _cmd_locus(args: argparse.Namespace) -> int:
             y_min, y_max = _DEFAULT_SPAN[0] * top, _DEFAULT_SPAN[1] * top
         else:
             y_min, y_max = _DEFAULT_SPAN[0] * family.base_L, 2.0 * family.base_L
+        # y_max is the larger end, and overflows first.
+        if not math.isfinite(y_max):
+            raise ValueError(
+                f"the default height range [{y_min}, {y_max}] overflows for this family; "
+                "pass --y-min and --y-max"
+            )
     else:
         y_min, y_max = args.y_min, args.y_max
     points = sample_locus(kind, args.base, SampleRange(y_min, y_max, args.samples), args.lam)

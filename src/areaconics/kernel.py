@@ -13,8 +13,8 @@ on numpy arrays with one entry per height, bit for bit equal to the float
 run at each height. A point is its (x, y), a circle (center, radius) and a
 line (anchor, (ux, uy)) with a unit direction. ``ns.check(ok, error,
 message, *values)`` fails where ``ok`` is false: over floats it raises
-``error(message.format(*values))``; over arrays it only locates the first
-failing height (see ``_batched.execute_batched``).
+``error(message.format(*values))``; over arrays it only records where a
+height failed, and the run goes on (see ``_batched.execute_batched``).
 
 All functions are pure and the value types are frozen, so instances can
 be shared freely between threads.

@@ -2,6 +2,7 @@
 
 import importlib.util
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from areaconics._batched import execute_batched
+from areaconics._batched import ARRAYS, execute_batched
 from areaconics.constructions import (
+    _PROGRAMS,
     _STEPS,
     ApplicationKind,
     AreaFamily,
@@ -26,7 +28,7 @@ from areaconics.constructions import (
     replay_trace,
 )
 from areaconics.kernel import GeometryError, Point
-from areaconics.locus import _APPLICATION_KIND, ConicKind, SampleRange, sample_locus
+from areaconics.locus import _APPLICATION_KIND, _BLOCK, ConicKind, SampleRange, sample_locus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -231,6 +233,20 @@ def step(op, inputs, output):
             (step(StepOp.BISECT, ("A", "B"), "M"),),
             {"A": ([1.0, 1e308], [0.0, 0.0]), "B": ([3.0, 1e308], [0.0, 0.0])},
         ),
+        # Row 1 fails step 1 (a circle of radius |PP| = 0); row 0 passes it
+        # and fails only step 2, where its midpoint overflows: row 0's error.
+        (
+            (
+                step(StepOp.DESCRIBE_CIRCLE, ("P", "P", "Q"), "c"),
+                step(StepOp.BISECT, ("M", "N"), "X"),
+            ),
+            {
+                "P": ([0.0, 0.0], [0.0, 0.0]),
+                "Q": ([1.0, 0.0], [0.0, 0.0]),
+                "M": ([1e308, 1.0], [0.0, 0.0]),
+                "N": ([1e308, 3.0], [0.0, 0.0]),
+            },
+        ),
         # Secants: the higher point by (y, x) wins, on either side of the foot.
         (
             (
@@ -274,3 +290,87 @@ def test_benchmark_sweep_and_construct_checks_pass(workloads, seed):
         for _ in range(ops or workload.cycle):
             op = workload.next_input()
             workload.check(op.args, workload.run(op.args))
+
+
+@pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)])
+def test_a_sweep_over_several_blocks_equals_per_height_applications(kind, lam):
+    n = 2 * _BLOCK + 3
+    samples = sample_locus(kind, 2.0, SampleRange(0.1, 3.0, n), lam)
+    starts = range(0, n, _BLOCK)
+    edges = {i for start in starts for i in (start, min(start + _BLOCK, n) - 1)}
+    rows = sorted(edges | set(random.Random(n).sample(range(n), 40)))
+    for i in rows:
+        y = float(samples.y[i])
+        g = apply(kind, 2.0, lam, y).square_side_g
+        assert bits(samples.x[i], samples.y[i]) == bits(g, y), i
+
+
+@pytest.mark.parametrize("kind, lam", [(ApplicationKind.EXACT, None), (ApplicationKind.EXCESS, 0.5)])
+def test_constant_coordinates_come_back_as_arrays_of_the_runs_shape(kind, lam):
+    family = AreaFamily(kind, 2.0, lam)
+    given = _given_coordinates(family, np.array([0.5, 1.0, 1.5]))
+    program = _PROGRAMS[kind]
+    coords = iter(np.broadcast_arrays(*(c for point in given.values() for c in point)))
+    spread = execute_batched(program, dict(zip(given, zip(coords, coords))))
+
+    def leaves(entity):
+        if isinstance(entity, tuple):
+            return [leaf for part in entity for leaf in leaves(part)]
+        return [entity]
+
+    env = execute_batched(program, given)
+    for label, entity in env.items():
+        for leaf, expected in zip(leaves(entity), leaves(spread[label]), strict=True):
+            assert isinstance(leaf, np.ndarray) and leaf.shape == (3,), label
+            assert leaf.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), label
+    assert not env["A"][0].flags.writeable
+
+
+def test_a_failing_check_on_constant_coordinates_raises_the_first_heights_error():
+    # Row 1's midpoint overflows at step 1; step 2 draws a circle of radius
+    # |AB| = 0 from two constant points, which every row, row 0 first, fails.
+    steps = (
+        step(StepOp.BISECT, ("M", "N"), "X"),
+        step(StepOp.DESCRIBE_CIRCLE, ("A", "A", "B"), "c"),
+    )
+    given = {
+        "M": (np.array([1.0, 1e308]), 0.0),
+        "N": (np.array([3.0, 1e308]), 0.0),
+        "A": (0.0, 0.0),
+        "B": (0.0, 0.0),
+    }
+    with pytest.raises(ValueError) as caught:
+        execute_batched(_compile(tuple(given), steps), given)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == "circle radius must be positive, got 0.0"
+
+
+AXIS_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -3.5, 1e308, -1e308, math.inf, -math.inf]
+
+
+def axis_rows(values):
+    """Each value against +0 and -0, in both orders."""
+    rows = [(v, z) for v in values for z in (0.0, -0.0)]
+    return [*rows, *((z, v) for v, z in rows)]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        axis_rows(AXIS_VALUES),
+        # A nan row falls back to np.hypot.
+        axis_rows([*AXIS_VALUES, math.nan, -math.nan]),
+        # So does a row with both components nonzero.
+        [*axis_rows(AXIS_VALUES), (3.0, 4.0)],
+        [*axis_rows(AXIS_VALUES), (math.inf, math.nan), (math.nan, -math.inf), (5e-324, 5e-324)],
+    ],
+)
+def test_array_hypot_is_np_hypot_bit_for_bit(rows):
+    x, y = (np.array(column) for column in zip(*rows))
+    with np.errstate(all="ignore"):
+        assert ARRAYS.hypot(x, y).view(np.uint64).tolist() == np.hypot(x, y).view(np.uint64).tolist()
+
+
+def test_array_hypot_takes_scalars_and_keeps_an_infinite_component():
+    assert ARRAYS.hypot(np.float64(-0.0), np.float64(-3.5)) == 3.5
+    assert ARRAYS.hypot(np.array([math.inf, 3.0]), np.array([math.nan, 4.0])).tolist() == [math.inf, 5.0]

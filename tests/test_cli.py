@@ -133,6 +133,27 @@ def test_locus_checks_its_family_before_the_default_range(tmp_path, capsys, fami
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize(
+    "family, y_range",
+    [
+        # The default top height 2*L overflows.
+        (["parabola", "--base", "1e308"], "[5.0000000000000006e+306, inf]"),
+        # L/lambda overflows, and so do both ends.
+        (["ellipse", "--base", "1e308", "--lambda", "1e-10"], "[inf, inf]"),
+    ],
+)
+def test_locus_reports_an_overflowing_default_range(tmp_path, capsys, family, y_range):
+    csv_path = tmp_path / "never.csv"
+    assert run(["locus", "--kind", *family, "--samples", "5", "--out", str(csv_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.strip() == (
+        f"areaconics: error: the default height range {y_range} overflows for this family; "
+        "pass --y-min and --y-max"
+    )
+    assert "Traceback" not in captured.err
+    assert not csv_path.exists()
+
+
 def test_verify_detects_mismatch(tmp_path, capsys):
     csv_path = tmp_path / "parabola.csv"
     assert run(["locus", "--kind", "parabola", "--base", "2", "--y-min", "0.2",
