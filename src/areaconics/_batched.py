@@ -11,14 +11,15 @@ alone.
 
 A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
 the base corners' zero y) stays a numpy scalar, so an operation between
-two constants is one scalar operation, not one per height.
+two constants is one scalar operation, not one per height, and a run
+returns it as one.
 
 A run's checks do not stop it. Each check ANDs its mask into the run's
 one mask, and the run ends with one reduction. Up to a height's first
 failing check its values are the float run's, so the lowest height the
 mask rejects is the first height that fails in floats; the error itself
-comes from the float run (see ``execute_batched``). What a run computes
-past a failed check is discarded.
+comes from one float run at that height (see ``execute_batched``). What a
+run computes past a failed check is discarded.
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
@@ -71,40 +72,31 @@ class _Run(SimpleNamespace):
         self.ok = self.ok & ok
 
 
-def _spread(value: Any, shape: tuple[int, ...]) -> Any:
-    """Each coordinate of an entity broadcast to ``shape``: arrays as they are, scalars as views."""
-    if isinstance(value, tuple):
-        # Most coordinates are already arrays of the run's shape.
-        return tuple([v if isinstance(v, np.ndarray) and v.shape == shape else _spread(v, shape) for v in value])
-    # What np.broadcast_to(value, shape) gives, without its checks (~0.8
-    # against ~6 µs): zero strides over the scalar ``value[()]``, whose
-    # buffer, unlike a 0-d array's, is read-only.
-    return np.ndarray(shape, value.dtype, value[()], strides=(0,) * len(shape))
-
-
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
     """Run a compiled step program over arrays of given points, one entry per height.
 
     ``given`` maps the program's initial labels, in its order, to their
     (x, y): numpy arrays, or scalars where a coordinate is the same at
-    every height. Returns every labelled entity, each coordinate an array
-    of the run's shape (a constant one as a broadcast view); a point is
-    its (x, y) arrays. On a failure the run's mask gives the first
-    failing height i; the program then runs over floats at heights 0..i
-    one at a time, and raises the first failing height's error, class
-    and message, by construction.
+    every height. Returns every labelled entity as the run computed it,
+    in the form ``given`` takes: a coordinate that varies with height is
+    an array of the run's length, a constant one a numpy scalar. On a
+    failure the run's mask gives the first failing height i, and the
+    program runs over floats at height i alone, which raises that
+    height's error, class and message.
     """
     # A numpy scalar, not a float: float division by zero raises, where
     # numpy's follows the errstate below.
     initial = [tuple(c if isinstance(c, np.ndarray) else np.float64(c) for c in point) for point in given.values()]
-    shape = np.broadcast_shapes(*(c.shape for point in initial for c in point))
     run = _Run()
     with np.errstate(all="ignore"):
         env = program.run(run, initial)
     if run.ok.all():
-        return dict(zip(program.labels, _spread(tuple(env), shape)))
-    failing = int(np.broadcast_to(run.ok, shape).argmin())
-    given_rows = _spread(tuple(initial), shape)
-    for i in range(failing + 1):
-        program.run(FLOATS, [(float(x[i]), float(y[i])) for x, y in given_rows])
-    raise AssertionError(f"height {failing} failed a batched check but passes the scalar construction")
+        return dict(zip(program.labels, env))
+    # No check fails at any height below i, and up to a height's first
+    # failing check the batched values are the float values bit for bit,
+    # so the float run at height i raises what ``apply_*`` raises at the
+    # first failing height. A 0-d mask, from checks on constants alone,
+    # fails at every height and gives i = 0.
+    i = int(run.ok.argmin())
+    program.run(FLOATS, [tuple(float(c[i] if c.ndim else c) for c in point) for point in initial])
+    raise AssertionError(f"height {i} failed a batched check but passes the scalar construction")

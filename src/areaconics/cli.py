@@ -216,10 +216,7 @@ def run(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else _EXIT_USAGE
     try:
         return _COMMANDS[args.verb](args)
-    except ValueError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return _EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
 

@@ -266,7 +266,9 @@ class _Program(NamedTuple):
         return {point.label: point for point in initial} | made
 
 
-# Cached: a sweep runs the same few programs on every call.
+# Cached for ``replay_trace``, which compiles every trace it replays: traces
+# of one kind share a program, and the construct benchmark replays one on
+# every JSON round trip.
 @functools.lru_cache(maxsize=64)
 def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _Program:
     """Resolve labels to slots, checking label discipline and input kinds."""

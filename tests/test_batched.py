@@ -20,6 +20,7 @@ from areaconics.constructions import (
     ConstructionStep,
     ConstructionTrace,
     StepOp,
+    _Program,
     _compile,
     _given_coordinates,
     apply_deficient,
@@ -27,7 +28,7 @@ from areaconics.constructions import (
     apply_excess,
     replay_trace,
 )
-from areaconics.kernel import GeometryError, Point
+from areaconics.kernel import FLOATS, GeometryError, Point
 from areaconics.locus import _APPLICATION_KIND, _BLOCK, ConicKind, SampleRange, sample_locus
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -306,7 +307,7 @@ def test_a_sweep_over_several_blocks_equals_per_height_applications(kind, lam):
 
 
 @pytest.mark.parametrize("kind, lam", [(ApplicationKind.EXACT, None), (ApplicationKind.EXCESS, 0.5)])
-def test_constant_coordinates_come_back_as_arrays_of_the_runs_shape(kind, lam):
+def test_constant_coordinates_come_back_as_numpy_scalars(kind, lam):
     family = AreaFamily(kind, 2.0, lam)
     given = _given_coordinates(family, np.array([0.5, 1.0, 1.5]))
     program = _PROGRAMS[kind]
@@ -319,11 +320,37 @@ def test_constant_coordinates_come_back_as_arrays_of_the_runs_shape(kind, lam):
         return [entity]
 
     env = execute_batched(program, given)
+    # A = (0, 0) is the same at every height.
+    assert all(isinstance(c, np.float64) for c in env["A"])
     for label, entity in env.items():
         for leaf, expected in zip(leaves(entity), leaves(spread[label]), strict=True):
-            assert isinstance(leaf, np.ndarray) and leaf.shape == (3,), label
-            assert leaf.view(np.uint64).tolist() == expected.view(np.uint64).tolist(), label
-    assert not env["A"][0].flags.writeable
+            assert np.ndim(leaf) == 0 or (isinstance(leaf, np.ndarray) and leaf.shape == (3,)), label
+            assert np.broadcast_to(leaf, (3,)).view(np.uint64).tolist() == expected.view(np.uint64).tolist(), label
+
+
+def test_a_failure_at_the_last_height_runs_the_float_program_once(monkeypatch):
+    heights = np.linspace(0.5, 1.5, 8192)
+    heights[-1] = 0.0
+    given = _given_coordinates(AreaFamily(ApplicationKind.EXACT, 2.0, None), heights)
+    # The last height's given points alone, run in floats as ``assert_parity`` runs them.
+    last = tuple(
+        Point(*(float(np.broadcast_to(c, heights.shape)[-1]) for c in point), label) for label, point in given.items()
+    )
+    with pytest.raises(ValueError) as expected:
+        replay_trace(ConstructionTrace(last, _STEPS[ApplicationKind.EXACT]))
+    float_runs = 0
+    run = _Program.run
+
+    def counted(self, ns, initial):
+        nonlocal float_runs
+        float_runs += ns is FLOATS
+        return run(self, ns, initial)
+
+    monkeypatch.setattr(_Program, "run", counted)
+    with pytest.raises(ValueError) as caught:
+        execute_batched(_PROGRAMS[ApplicationKind.EXACT], given)
+    assert float_runs == 1
+    assert_same_error(caught.value, expected.value)
 
 
 def test_a_failing_check_on_constant_coordinates_raises_the_first_heights_error():

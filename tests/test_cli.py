@@ -202,6 +202,24 @@ def test_figure_out_of_range(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--points", "{missing}/points.csv", "--kind", "parabola", "--base", "2", "--tol", "1e-9"],
+        ["figure", "--which", "3", "--out", "{missing}/f.svg"],
+    ],
+)
+def test_a_missing_file_or_directory_exits_1_with_one_error_line(tmp_path, capsys, argv):
+    missing = tmp_path / "missing"
+    assert run([arg.format(missing=missing) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("areaconics: error: ")
+    assert str(missing) in captured.err
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_lambda_rejected_for_exact(capsys):
     code = run(["construct", "--kind", "exact", "--base", "1", "--height", "1", "--lambda", "1"])
     assert code == 1
