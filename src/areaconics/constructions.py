@@ -155,6 +155,16 @@ class ConstructionStep(_Value):
         _bind(self, "citation", citation)
         # Through the class attribute, which the benchmark's tracer wraps to count calls.
         self.__post_init__()
+        # Hashed once: ``_compile``'s cache hashes every step of a trace it replays.
+        _bind(self, "_hash", hash(self._key(self)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        # Rebuilt through ``__init__`` by ``pickle`` and ``copy``: a str's
+        # hash differs between processes, so the cached hash stays behind.
+        return (ConstructionStep, (self.op, self.inputs, self.output, self.citation))
 
     def __post_init__(self) -> None:
         expected = len(_OPS[self.op][0])
@@ -212,18 +222,10 @@ class ConstructionTrace(_Value):
             raise MalformedTraceError("trace document must have 'initial' and 'steps' keys")
         try:
             initial = tuple(
-                Point(float(entry["x"]), float(entry["y"]), str(entry["label"]))
+                Point(_coordinate(entry["x"]), _coordinate(entry["y"]), str(entry["label"]))
                 for entry in data["initial"]
             )
-            steps = tuple(
-                ConstructionStep(
-                    op=StepOp(entry["op"]),
-                    inputs=tuple(str(name) for name in entry["inputs"]),
-                    output=str(entry["output"]),
-                    citation=str(entry["citation"]),
-                )
-                for entry in data["steps"]
-            )
+            steps = tuple(map(_step_from_json, data["steps"]))
         except MalformedTraceError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -237,6 +239,43 @@ class ConstructionTrace(_Value):
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"trace document is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _coordinate(value: Any) -> float:
+    """A trace document's coordinate, which must be a JSON number."""
+    # float() would also parse a string, and a bool is an int.
+    if isinstance(value, (str, bool)):
+        raise MalformedTraceError(f"trace coordinate must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _step_from_json(entry: Any) -> ConstructionStep:
+    """The step a trace document's entry holds.
+
+    An entry equal to a step of ``_STEPS`` gives that step object back,
+    built and validated at import, so a parsed application's trace holds
+    the very steps its kind's program was compiled from. Any other entry
+    is converted field by field (op, inputs, output, citation) and
+    validated, and a malformed one fails there.
+    """
+    if type(entry) is dict and type(names := entry.get("inputs")) is list:
+        key = (entry.get("op"), tuple(names), entry.get("output"), entry.get("citation"))
+        try:
+            step = _CANONICAL_STEPS.get(key)
+        except TypeError:  # an unhashable field, which no canonical step holds
+            step = None
+        if step is not None:
+            return step
+    op = StepOp(entry["op"])
+    names = entry["inputs"]
+    if not isinstance(names, list):
+        # A non-iterable fails here with its TypeError; a string or an
+        # object would otherwise be split into labels.
+        iter(names)
+        raise MalformedTraceError(f"step inputs must be a JSON array, got {names!r}")
+    return ConstructionStep(
+        op, [str(name) for name in names], str(entry["output"]), str(entry["citation"])
+    )
 
 
 class _Program(NamedTuple):
@@ -267,8 +306,9 @@ class _Program(NamedTuple):
 
 
 # Cached for ``replay_trace``, which compiles every trace it replays: traces
-# of one kind share a program, and the construct benchmark replays one on
-# every JSON round trip.
+# of one kind share a program. A hit reads each step's cached hash, and a
+# parsed application's steps are the very objects of the cached key (see
+# ``_step_from_json``), so the keys' steps compare by identity.
 @functools.lru_cache(maxsize=64)
 def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _Program:
     """Resolve labels to slots, checking label discipline and input kinds."""
@@ -490,8 +530,17 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built, validated and compiled once.
-_STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
+# The step program of each kind, built, validated and compiled once. A step
+# that kinds share is one object, filed under its JSON fields (the op's
+# value, the inputs as a tuple) for ``_step_from_json`` to hand back.
+_CANONICAL_STEPS: dict[tuple[Any, ...], ConstructionStep] = {}
+_STEPS = {
+    kind: tuple(
+        _CANONICAL_STEPS.setdefault((s.op.value, s.inputs, s.output, s.citation), s)
+        for s in _construction_steps("B" + _CORNER_SUFFIX[kind])
+    )
+    for kind in ApplicationKind
+}
 _PROGRAMS = {
     family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
     for family in (

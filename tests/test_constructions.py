@@ -19,6 +19,8 @@ from areaconics.constructions import (
     apply_deficient,
     apply_exact,
     apply_excess,
+    _compile,
+    _STEPS,
     replay_trace,
     solve_height_for_area,
 )
@@ -438,6 +440,128 @@ def test_trace_from_json_malformed():
                 }
             )
         )
+
+
+def _bisect_document(inputs, x=4.0):
+    return json.dumps(
+        {
+            "initial": [{"label": "A", "x": 0.0, "y": 0.0}, {"label": "B", "x": x, "y": 0.0}],
+            "steps": [{"op": "Bisect", "inputs": inputs, "output": "F", "citation": "I.10"}],
+        }
+    )
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        # A string would be split into one-character labels, B⁻ into two.
+        ("AB", "step inputs must be a JSON array, got 'AB'"),
+        ("AB⁻", "step inputs must be a JSON array, got 'AB⁻'"),
+        ({"A": 0, "B": 1}, "step inputs must be a JSON array, got {'A': 0, 'B': 1}"),
+        # Not iterable at all: the conversion's own error, as before.
+        (5, "invalid trace document: 'int' object is not iterable"),
+        (None, "invalid trace document: 'NoneType' object is not iterable"),
+    ],
+)
+def test_trace_inputs_must_be_a_json_array(inputs, message):
+    with pytest.raises(MalformedTraceError) as caught:
+        ConstructionTrace.from_json(_bisect_document(inputs))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        ("4.0", "trace coordinate must be a JSON number, got '4.0'"),
+        ("nan", "trace coordinate must be a JSON number, got 'nan'"),
+        (True, "trace coordinate must be a JSON number, got True"),
+        (False, "trace coordinate must be a JSON number, got False"),
+        (None, "invalid trace document: float() argument must be a string or a real number, not 'NoneType'"),
+    ],
+)
+def test_trace_coordinates_must_be_json_numbers(x, message):
+    with pytest.raises(MalformedTraceError) as caught:
+        ConstructionTrace.from_json(_bisect_document(["A", "B"], x))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("x", [4, 4.0])
+def test_trace_coordinates_may_be_json_integers(x):
+    trace = ConstructionTrace.from_json(_bisect_document(["A", "B"], x))
+    assert replay_trace(trace)["F"] == Point(2.0, 0.0, "F")
+
+
+APPLICATIONS = {
+    ApplicationKind.EXACT: lambda: apply_exact(4, 1),
+    ApplicationKind.DEFICIENT: lambda: apply_deficient(4, 1, 1),
+    ApplicationKind.EXCESS: lambda: apply_excess(2, 0.5, 1.5),
+}
+
+
+def _hex_points(points):
+    return {label: (p.x.hex(), p.y.hex()) for label, p in points.items()}
+
+
+def _count_step_validations(monkeypatch):
+    counted = []
+    validate = ConstructionStep.__post_init__
+
+    def counting(self):
+        counted.append(self)
+        validate(self)
+
+    monkeypatch.setattr(ConstructionStep, "__post_init__", counting)
+    return counted
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_parsing_an_applications_trace_returns_its_canonical_steps(kind, monkeypatch):
+    text = APPLICATIONS[kind]().trace.to_json()
+    built = _count_step_validations(monkeypatch)
+    parsed = ConstructionTrace.from_json(text)
+    assert built == []
+    assert len(parsed.steps) == len(_STEPS[kind])
+    assert all(got is want for got, want in zip(parsed.steps, _STEPS[kind]))
+
+
+def test_steps_the_kinds_share_are_one_object():
+    steps = [step for kind in ApplicationKind for step in _STEPS[kind]]
+    for step in steps:
+        assert all(other is step for other in steps if other == step)
+    describe = ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("F", "F", "E"), "EGB", "I.Def.18")
+    assert all(_STEPS[kind][2] == describe for kind in ApplicationKind)
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_a_changed_citation_gets_a_freshly_validated_step_that_replays_bit_exactly(kind, monkeypatch):
+    result = APPLICATIONS[kind]()
+    doc = result.trace.to_json_dict()
+    doc["steps"][4]["citation"] = "III.3"
+    built = _count_step_validations(monkeypatch)
+    parsed = ConstructionTrace.from_json(json.dumps(doc))
+    assert len(built) == 1 and built[0] is parsed.steps[4]
+    canonical = _STEPS[kind]
+    assert parsed.steps[4] == ConstructionStep(canonical[4].op, canonical[4].inputs, canonical[4].output, "III.3")
+    assert all(got is want for i, (got, want) in enumerate(zip(parsed.steps, canonical)) if i != 4)
+    assert _hex_points(replay_trace(parsed)) == _hex_points(result.figure_points)
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_replaying_a_parsed_trace_hits_the_compile_cache(kind, monkeypatch):
+    result = APPLICATIONS[kind]()
+    replay_trace(result.trace)  # the kind's program, should the cache have evicted it
+    parsed = ConstructionTrace.from_json(result.trace.to_json())
+    # The hit reads no step's fields, to hash it or to compare it.
+    read = []
+    key, eq = ConstructionStep._key, ConstructionStep.__eq__
+    monkeypatch.setattr(ConstructionStep, "_key", staticmethod(lambda step: read.append(step) or key(step)))
+    monkeypatch.setattr(ConstructionStep, "__eq__", lambda step, other: read.append(step) or eq(step, other))
+    before = _compile.cache_info()
+    replayed = replay_trace(parsed)
+    after = _compile.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert read == []
+    assert _hex_points(replayed) == _hex_points(result.figure_points)
 
 
 def test_result_invariants_random_spot_checks():

@@ -7,10 +7,15 @@ assignment and deletion, and round trips through ``pickle`` and ``copy``.
 
 import copy
 import math
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import areaconics
 from areaconics.constructions import (
     ApplicationKind,
     ApplicationResult,
@@ -310,6 +315,41 @@ def test_copy_round_trip(case, how):
     assert back == value and repr(back) == text
     with pytest.raises(AttributeError):
         setattr(back, compared[0], 0)
+
+
+@pytest.mark.parametrize("how", [copy.copy, copy.deepcopy])
+def test_a_copied_step_keeps_its_hash(how):
+    step = _step()
+    back = how(step)
+    assert back is not step
+    assert back == step and hash(back) == hash(step)
+
+
+# Unpickles a step from stdin and checks it against one built here, in a
+# process whose str hashes differ from the pickling process's.
+_UNPICKLE = """
+import pickle, sys
+from areaconics.constructions import ConstructionStep, StepOp
+step = pickle.loads(sys.stdin.buffer.read())
+fresh = ConstructionStep(StepOp.BISECT, ("A", "B"), "F", "I.10")
+assert hash("I.10") != int(sys.argv[1]), "the two processes hash strs alike"
+assert step == fresh and hash(step) == hash(fresh), (hash(step), hash(fresh))
+assert {step: 1}[fresh] == 1
+"""
+
+
+@pytest.mark.parametrize("protocol", [0, pickle.HIGHEST_PROTOCOL])
+def test_an_unpickled_step_hashes_as_its_loading_process_would(protocol):
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    src = str(Path(areaconics.__file__).parents[1])
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    subprocess.run(
+        [sys.executable, "-c", _UNPICKLE, str(hash("I.10"))],
+        input=pickle.dumps(_step(), protocol),
+        env=env,
+        check=True,
+        timeout=60,
+    )
 
 
 def test_defaults():
