@@ -10,140 +10,17 @@ equations, cross-checked with a least-squares conic fit, and rendered
 as deterministic SVG diagrams.
 """
 
-from .constructions import (
-    ApplicationKind,
-    ApplicationResult,
-    ApplicationSpec,
-    ConstructionError,
-    ConstructionStep,
-    ConstructionTrace,
-    DeficiencyExceedsBaseError,
-    GeometricFailureError,
-    InfeasibleAreaError,
-    MalformedTraceError,
-    StepOp,
-    apply_deficient,
-    apply_exact,
-    apply_excess,
-    replay_trace,
-    solve_height_for_area,
-)
-from .figures import (
-    Arc,
-    DASH_PATTERN,
-    Dot,
-    EmptySceneError,
-    FIGURE_PARAMS,
-    FigureError,
-    Label,
-    SVG_SCALE,
-    Scene,
-    Stroke,
-    StyledPrimitive,
-    standard_figure,
-    render_svg,
-    scene_from_application,
-    scene_from_locus,
-)
-from .kernel import (
-    Circle,
-    DegenerateRayError,
-    GeometryError,
-    Line,
-    OffLineError,
-    Point,
-    Segment,
-    distance,
-    erect_perpendicular,
-    extend_along_ray,
-    intersect_circle_line,
-    line_through,
-    midpoint,
-)
-from .locus import (
-    Branch,
-    ConicKind,
-    ConicSpec,
-    DegenerateFitError,
-    LocusError,
-    LocusPoint,
-    LocusSamples,
-    SampleRange,
-    VerificationReport,
-    conic_params,
-    fit_conic_oracle,
-    max_applicable_area,
-    mirror,
-    normalize_conic_coefficients,
-    read_locus_csv,
-    sample_locus,
-    verify_residuals,
-    write_locus_csv,
-)
+# Each module's ``__all__`` is its public API; the package re-exports all four.
+from . import constructions, figures, kernel, locus
+from .constructions import *
+from .figures import *
+from .kernel import *
+from .locus import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ApplicationKind",
-    "ApplicationResult",
-    "ApplicationSpec",
-    "Arc",
-    "Branch",
-    "Circle",
-    "ConicKind",
-    "ConicSpec",
-    "ConstructionError",
-    "ConstructionStep",
-    "ConstructionTrace",
-    "DASH_PATTERN",
-    "DeficiencyExceedsBaseError",
-    "DegenerateFitError",
-    "DegenerateRayError",
-    "Dot",
-    "EmptySceneError",
-    "FIGURE_PARAMS",
-    "FigureError",
-    "GeometricFailureError",
-    "GeometryError",
-    "InfeasibleAreaError",
-    "Label",
-    "Line",
-    "LocusError",
-    "LocusPoint",
-    "LocusSamples",
-    "MalformedTraceError",
-    "OffLineError",
-    "Point",
-    "SVG_SCALE",
-    "SampleRange",
-    "Scene",
-    "Segment",
-    "StepOp",
-    "Stroke",
-    "StyledPrimitive",
-    "VerificationReport",
-    "apply_deficient",
-    "apply_exact",
-    "apply_excess",
-    "conic_params",
-    "distance",
-    "erect_perpendicular",
-    "extend_along_ray",
-    "fit_conic_oracle",
-    "intersect_circle_line",
-    "line_through",
-    "max_applicable_area",
-    "midpoint",
-    "mirror",
-    "normalize_conic_coefficients",
-    "standard_figure",
-    "read_locus_csv",
-    "render_svg",
-    "replay_trace",
-    "sample_locus",
-    "scene_from_application",
-    "scene_from_locus",
-    "solve_height_for_area",
-    "verify_residuals",
-    "write_locus_csv",
-]
+__all__: list[str] = []
+__all__ += constructions.__all__
+__all__ += figures.__all__
+__all__ += kernel.__all__
+__all__ += locus.__all__

@@ -19,7 +19,6 @@ steps (a trace) that can be serialized to JSON and replayed bit-exactly.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import operator
@@ -155,16 +154,6 @@ class ConstructionStep(_Value):
         _bind(self, "citation", citation)
         # Through the class attribute, which the benchmark's tracer wraps to count calls.
         self.__post_init__()
-        # Hashed once: ``_compile``'s cache hashes every step of a trace it replays.
-        _bind(self, "_hash", hash(self._key(self)))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple[Any, ...]:
-        # Rebuilt through ``__init__`` by ``pickle`` and ``copy``: a str's
-        # hash differs between processes, so the cached hash stays behind.
-        return (ConstructionStep, (self.op, self.inputs, self.output, self.citation))
 
     def __post_init__(self) -> None:
         expected = len(_OPS[self.op][0])
@@ -222,7 +211,7 @@ class ConstructionTrace(_Value):
             raise MalformedTraceError("trace document must have 'initial' and 'steps' keys")
         try:
             initial = tuple(
-                Point(_coordinate(entry["x"]), _coordinate(entry["y"]), str(entry["label"]))
+                Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
                 for entry in data["initial"]
             )
             steps = tuple(map(_step_from_json, data["steps"]))
@@ -247,6 +236,13 @@ def _coordinate(value: Any) -> float:
     if isinstance(value, (str, bool)):
         raise MalformedTraceError(f"trace coordinate must be a JSON number, got {value!r}")
     return float(value)
+
+
+def _string(value: Any, what: str) -> str:
+    """A trace document's label or citation, which must be a JSON string."""
+    if not isinstance(value, str):
+        raise MalformedTraceError(f"{what} must be a JSON string, got {value!r}")
+    return value
 
 
 def _step_from_json(entry: Any) -> ConstructionStep:
@@ -274,19 +270,24 @@ def _step_from_json(entry: Any) -> ConstructionStep:
         iter(names)
         raise MalformedTraceError(f"step inputs must be a JSON array, got {names!r}")
     return ConstructionStep(
-        op, [str(name) for name in names], str(entry["output"]), str(entry["citation"])
+        op,
+        [_string(name, "step input label") for name in names],
+        _string(entry["output"], "step output label"),
+        _string(entry["citation"], "step citation"),
     )
 
 
 class _Program(NamedTuple):
     """A step sequence compiled to slots, run over either numeric namespace.
 
-    Slot i holds the entity labelled ``labels[i]``: the initial points
-    first, then each step's output. ``made`` holds the slot and label of
-    each point a step makes. Each op is its function, its step, and the
-    getter of its input values.
+    ``source`` is what it was compiled from: the initial points' labels and
+    the steps. Slot i holds the entity labelled ``labels[i]``: the initial
+    points first, then each step's output. ``made`` holds the slot and
+    label of each point a step makes. Each op is its function, its step,
+    and the getter of its input values.
     """
 
+    source: tuple[tuple[str, ...], tuple[ConstructionStep, ...]]
     labels: tuple[str, ...]
     made: tuple[tuple[int, str], ...]
     ops: tuple[tuple[Callable[..., Any], ConstructionStep, Callable[[list[Any]], Any]], ...]
@@ -305,11 +306,9 @@ class _Program(NamedTuple):
         return {point.label: point for point in initial} | made
 
 
-# Cached for ``replay_trace``, which compiles every trace it replays: traces
-# of one kind share a program. A hit reads each step's cached hash, and a
-# parsed application's steps are the very objects of the cached key (see
-# ``_step_from_json``), so the keys' steps compare by identity.
-@functools.lru_cache(maxsize=64)
+# Compiles afresh on every call. The three kinds' programs are compiled once,
+# into ``_PROGRAMS``, which serves applications, sweeps and the replay of an
+# application's trace; ``replay_trace`` compiles only any other trace.
 def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _Program:
     """Resolve labels to slots, checking label discipline and input kinds."""
     slots: dict[str, tuple[int, str]] = {}
@@ -331,17 +330,27 @@ def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _P
         ops.append((fn, step, operator.itemgetter(*(slots[name][0] for name in step.inputs))))
         slots[step.output] = (len(slots), makes)
     made = [(slot, label) for label, (slot, kind) in slots.items() if kind == "point"]
-    return _Program(tuple(slots), tuple(made[len(labels) :]), tuple(ops))
+    return _Program((labels, steps), tuple(slots), tuple(made[len(labels) :]), tuple(ops))
 
 
 def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     """Execute a trace and return its labeled points.
 
-    The whole trace is checked before any step runs. Replay is
-    deterministic: the same trace always reproduces identical
-    coordinates, bit for bit.
+    An application's trace runs on its kind's compiled program, which it
+    matches whole: the given labels in order, and every step. Any other
+    trace is compiled. Either way the whole trace is checked before any
+    step runs. Replay is deterministic: the same trace always reproduces
+    identical coordinates, bit for bit.
     """
-    return _compile(tuple(p.label for p in trace.initial), trace.steps).replay(trace.initial)
+    source = (tuple([p.label for p in trace.initial]), trace.steps)
+    for program in _PROGRAMS.values():
+        # A parsed application's steps are its kind's very step objects (see
+        # ``_step_from_json``), which tuple equality matches by identity.
+        if program.source == source:
+            break
+    else:
+        program = _compile(*source)
+    return program.replay(trace.initial)
 
 
 # The label suffix of the applied rectangle's corners B and C.

@@ -611,6 +611,8 @@ def normalize_conic_coefficients(
     values = [float(c) for c in coeffs]
     if len(values) != 6:
         raise LocusError(f"expected 6 conic coefficients, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise LocusError(f"conic coefficients must be finite, got {tuple(values)}")
     pivot = max(range(6), key=lambda i: abs(values[i]))
     if values[pivot] == 0.0:
         raise DegenerateFitError("all conic coefficients vanish")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from areaconics import constructions
 from areaconics._batched import ARRAYS, execute_batched
 from areaconics.constructions import (
     _PROGRAMS,
@@ -154,10 +155,16 @@ def test_sample_locus_raises_the_first_failing_applications_error(kind, base, la
 
 
 @pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)])
-def test_a_sweep_runs_the_kinds_compiled_program_without_the_compile_cache(kind, lam):
-    before = _compile.cache_info()
+def test_a_sweep_runs_the_kinds_compiled_program_without_compiling(kind, lam, monkeypatch):
+    compiled = []
+    compile_ = constructions._compile
+    monkeypatch.setattr(constructions, "_compile", lambda *args: compiled.append(args) or compile_(*args))
+    ran = []
+    run = _Program.run
+    monkeypatch.setattr(_Program, "run", lambda program, ns, initial: ran.append(program) or run(program, ns, initial))
     sample_locus(kind, 2.0, SampleRange(0.1, 3.0, 3000), lam)
-    assert _compile.cache_info() == before
+    assert compiled == []
+    assert ran and all(program is _PROGRAMS[_APPLICATION_KIND[kind]] for program in ran)
 
 
 @pytest.mark.parametrize(

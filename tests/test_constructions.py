@@ -19,11 +19,13 @@ from areaconics.constructions import (
     apply_deficient,
     apply_exact,
     apply_excess,
-    _compile,
+    _PROGRAMS,
+    _Program,
     _STEPS,
     replay_trace,
     solve_height_for_area,
 )
+from areaconics import constructions
 from areaconics.kernel import Circle, Line, Point, distance, intersect_circle_line
 
 
@@ -485,6 +487,37 @@ def test_trace_coordinates_must_be_json_numbers(x, message):
     assert str(caught.value) == message
 
 
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        ({("initial", 1, "label"): None}, "point label must be a JSON string, got None"),
+        ({("initial", 1, "label"): 7}, "point label must be a JSON string, got 7"),
+        ({("steps", 0, "inputs"): ["A", 7]}, "step input label must be a JSON string, got 7"),
+        ({("steps", 0, "inputs"): [None, "B"]}, "step input label must be a JSON string, got None"),
+        ({("steps", 0, "output"): None}, "step output label must be a JSON string, got None"),
+        ({("steps", 0, "output"): 7}, "step output label must be a JSON string, got 7"),
+        ({("steps", 0, "citation"): 10}, "step citation must be a JSON string, got 10"),
+        ({("steps", 0, "citation"): None}, "step citation must be a JSON string, got None"),
+        ({("steps", 0, "citation"): True}, "step citation must be a JSON string, got True"),
+        # Checked in order: x, y, label; then op, inputs, output, citation.
+        ({("initial", 1, "label"): None, ("initial", 1, "y"): "0"}, "trace coordinate must be a JSON number, got '0'"),
+        ({("steps", 0, "output"): None, ("steps", 0, "citation"): 7}, "step output label must be a JSON string, got None"),
+        ({("steps", 0, "inputs"): [7], ("steps", 0, "output"): None}, "step input label must be a JSON string, got 7"),
+        (
+            {("steps", 0, "op"): "Undefined", ("steps", 0, "output"): None},
+            "invalid trace document: 'Undefined' is not a valid StepOp",
+        ),
+    ],
+)
+def test_trace_labels_and_citations_must_be_json_strings(edits, message):
+    doc = json.loads(_bisect_document(["A", "B"]))
+    for (part, i, key), value in edits.items():
+        doc[part][i][key] = value
+    with pytest.raises(MalformedTraceError) as caught:
+        ConstructionTrace.from_json(json.dumps(doc))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("x", [4, 4.0])
 def test_trace_coordinates_may_be_json_integers(x):
     trace = ConstructionTrace.from_json(_bisect_document(["A", "B"], x))
@@ -546,22 +579,88 @@ def test_a_changed_citation_gets_a_freshly_validated_step_that_replays_bit_exact
     assert _hex_points(replay_trace(parsed)) == _hex_points(result.figure_points)
 
 
+def _count_compiles(monkeypatch):
+    calls = []
+    compile_ = constructions._compile
+    monkeypatch.setattr(constructions, "_compile", lambda *args: calls.append(args) or compile_(*args))
+    return calls
+
+
 @pytest.mark.parametrize("kind", list(ApplicationKind))
-def test_replaying_a_parsed_trace_hits_the_compile_cache(kind, monkeypatch):
+def test_replaying_a_parsed_trace_runs_its_kinds_program_without_compiling(kind, monkeypatch):
     result = APPLICATIONS[kind]()
-    replay_trace(result.trace)  # the kind's program, should the cache have evicted it
     parsed = ConstructionTrace.from_json(result.trace.to_json())
-    # The hit reads no step's fields, to hash it or to compare it.
+    compiled = _count_compiles(monkeypatch)
+    ran = []
+    replay = _Program.replay
+    monkeypatch.setattr(_Program, "replay", lambda program, initial: ran.append(program) or replay(program, initial))
+    # The lookup reads no step's fields, to hash it or to compare it.
     read = []
     key, eq = ConstructionStep._key, ConstructionStep.__eq__
     monkeypatch.setattr(ConstructionStep, "_key", staticmethod(lambda step: read.append(step) or key(step)))
     monkeypatch.setattr(ConstructionStep, "__eq__", lambda step, other: read.append(step) or eq(step, other))
-    before = _compile.cache_info()
     replayed = replay_trace(parsed)
-    after = _compile.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    assert read == []
+    assert compiled == [] and read == []
+    assert len(ran) == 1 and ran[0] is _PROGRAMS[kind]
     assert _hex_points(replayed) == _hex_points(result.figure_points)
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_an_edited_trace_compiles_on_every_replay_to_the_same_bits(kind, monkeypatch):
+    result = APPLICATIONS[kind]()
+    doc = result.trace.to_json_dict()
+    doc["steps"][0]["citation"] = "Post.2"
+    parsed = ConstructionTrace.from_json(json.dumps(doc))
+    compiled = _count_compiles(monkeypatch)
+    first, second = replay_trace(parsed), replay_trace(parsed)
+    assert len(compiled) == 2
+    assert _hex_points(first) == _hex_points(second) == _hex_points(result.figure_points)
+
+
+# The canonical steps over given points that are not the kind's: each is
+# compiled for itself, on the slots of its own given points.
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda given: given[::-1],
+        lambda given: given[1:] + given[:1],
+        # No step reads C.
+        lambda given: [p for p in given if p.label != "C"],
+        lambda given: given + [Point(5, 5, "Z")],
+        lambda given: [Point(5, 5, "Z")] + given,
+    ],
+    ids=["reversed", "rotated", "C dropped", "Z appended", "Z prepended"],
+)
+def test_canonical_steps_over_other_given_points_replay_bit_exactly(kind, edit, monkeypatch):
+    result = APPLICATIONS[kind]()
+    canonical = {p.label for p in result.trace.initial}
+    given = edit(list(result.trace.initial))
+    compiled = _count_compiles(monkeypatch)
+    replayed = replay_trace(ConstructionTrace(given, result.trace.steps))
+    assert len(compiled) == 1
+    made = {label: p for label, p in result.figure_points.items() if label not in canonical}
+    expected = {p.label: p for p in given} | made
+    assert list(_hex_points(replayed).items()) == list(_hex_points(expected).items())
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda given: [p for p in given if p.label != "D"], "step input label 'D' is not defined"),
+        (lambda given: given[1:], "step input label 'A' is not defined"),
+        (lambda given: given + [Point(5, 5, "E")], "output label 'E' already defined"),
+        (lambda given: given + given[:1], "initial label 'A' defined twice"),
+    ],
+    ids=["D dropped", "A dropped", "E added", "A repeated"],
+)
+def test_canonical_steps_over_other_given_points_fail_as_compiled(kind, edit, message):
+    given = edit(list(APPLICATIONS[kind]().trace.initial))
+    with pytest.raises(MalformedTraceError) as caught:
+        replay_trace(ConstructionTrace(given, _STEPS[kind]))
+    assert type(caught.value) is MalformedTraceError
+    assert str(caught.value) == message
 
 
 def test_result_invariants_random_spot_checks():

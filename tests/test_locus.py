@@ -483,6 +483,22 @@ def test_normalize_conic_coefficients():
         normalize_conic_coefficients((1, 2, 3))
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (math.nan,) * 6,
+        (math.inf, 1, 0, 0, 0, 0),
+        (1, 0, 0, 0, -math.inf, 0),
+        (1, 0, 0, 0, -4, math.nan),
+    ],
+)
+def test_normalize_conic_coefficients_rejects_non_finite_input(coeffs):
+    with pytest.raises(LocusError) as caught:
+        normalize_conic_coefficients(coeffs)
+    assert type(caught.value) is LocusError
+    assert str(caught.value) == f"conic coefficients must be finite, got {tuple(map(float, coeffs))}"
+
+
 def test_fit_conic_oracle_parabola():
     points = sample_locus(ConicKind.PARABOLA, 4, SampleRange(0.5, 4.0, 8))
     fitted = fit_conic_oracle(points)

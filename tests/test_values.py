@@ -247,6 +247,18 @@ def test_every_public_value_type_is_covered():
     assert len(CASES) == 18
 
 
+def test_the_package_exports_each_modules_public_api():
+    import areaconics
+    from areaconics import constructions, figures, kernel, locus
+
+    modules = (constructions, figures, kernel, locus)
+    assert len(set(areaconics.__all__)) == len(areaconics.__all__) == 62
+    assert set(areaconics.__all__) == {name for module in modules for name in module.__all__}
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(areaconics, name) is getattr(module, name)
+
+
 def test_repr(case):
     name, make, text, _ = case
     assert repr(make()) == text
