@@ -2,12 +2,12 @@
 
 A sweep runs the same straight-line step program at every height; only
 the given points change. Here each labelled point holds one numpy array
-per coordinate, with one entry per height, and a compiled program (the
-kind's ``constructions._PROGRAMS`` entry, in a sweep) runs each step once
-over all of them, through the kernel's primitives over the numpy
-namespace ``ARRAYS`` (with a run's own ``check``, ``_Run``). So every
-entry equals, bit for bit, what the float run computes for that height
-alone.
+per coordinate, with one entry per height, and a compiled program (in a
+sweep, the kind's program pruned to what the sweep reads,
+``SWEEP_PROGRAMS``) runs each step once over all of them, through the
+kernel's primitives over the numpy namespace ``ARRAYS`` (with a run's own
+``check``, ``_Run``). So every entry equals, bit for bit, what the float
+run computes for that height alone.
 
 A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
 the base corners' zero y) stays a numpy scalar, so an operation between
@@ -24,8 +24,14 @@ run computes past a failed check is discarded.
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
 component, where both are exact: hypot(x, ±0) is |x| (IEEE 754, C99
-F.9.4.3). ``ARRAYS.hypot`` takes that |x| directly when every row has a
-zero component, and ``np.hypot`` otherwise and on two scalars.
+F.9.4.3). ``ARRAYS.hypot`` takes that |x|, one ``np.abs``, where one
+component is zero in every row (a 0-d zero or an all-zero array), and
+``np.hypot`` otherwise. On a nan, ``np.abs`` clears the sign that
+``np.hypot`` keeps; only a failing height's values can hold a nan.
+
+Only ``locus.sample_locus`` imports this module, at its first call, so
+the pruned programs are built then, off the import of every verb that
+does not sweep.
 """
 
 from __future__ import annotations
@@ -35,20 +41,16 @@ from typing import Any
 
 import numpy as np
 
-from .constructions import _Program
+from .constructions import _PROGRAMS, _compile, _Program
 from .kernel import FLOATS
 
 
 def _hypot(x: Any, y: Any) -> Any:
-    # Two constants: one scalar call, cheaper than the test below.
-    if np.ndim(x) == np.ndim(y) == 0:
-        return np.hypot(x, y)
-    ax, ay = np.abs(x), np.abs(y)
-    # Every row's min(|x|, |y|) is zero. A nan row is nonzero here (np.minimum
-    # propagates it) and takes np.hypot, which keeps the nan's sign where
-    # np.abs clears it.
-    if not np.minimum(ax, ay).any():
-        return np.maximum(ax, ay)
+    # A component with no nonzero entry: hypot(v, ±0) is |v|. A 0-d test
+    # is ~50 ns, where ``.any()`` even on a numpy scalar is a reduction.
+    for zero, other in ((y, x), (x, y)):
+        if not (zero.any() if zero.ndim else zero):
+            return np.abs(other)
     return np.hypot(x, y)
 
 
@@ -60,6 +62,12 @@ ARRAYS = SimpleNamespace(
     where=np.where,
     not_=np.logical_not,
 )
+
+
+# Each kind's program pruned to the labels a sweep reads: G, whose |AG| is
+# a locus point's x, and I, whose check fails a height where G snapped to
+# the tangent foot A (see ``locus.sample_locus``).
+SWEEP_PROGRAMS = {kind: _compile(*program.source, reads=("G", "I")) for kind, program in _PROGRAMS.items()}
 
 
 class _Run(SimpleNamespace):

@@ -161,6 +161,13 @@ class ConstructionStep(_Value):
             raise MalformedTraceError(
                 f"{self.op.value} expects {expected} inputs, got {len(self.inputs)}"
             )
+        # Strings only, so that every trace can be written as JSON and read back.
+        for name in self.inputs:
+            if not isinstance(name, str):
+                raise MalformedTraceError(f"step input label must be a string, got {name!r}")
+        for what, value in (("step output label", self.output), ("step citation", self.citation)):
+            if not isinstance(value, str):
+                raise MalformedTraceError(f"{what} must be a string, got {value!r}")
         if not self.output:
             raise MalformedTraceError("step output label must be non-empty")
         if not self.citation:
@@ -307,10 +314,26 @@ class _Program(NamedTuple):
 
 
 # Compiles afresh on every call. The three kinds' programs are compiled once,
-# into ``_PROGRAMS``, which serves applications, sweeps and the replay of an
-# application's trace; ``replay_trace`` compiles only any other trace.
-def _compile(labels: tuple[str, ...], steps: tuple[ConstructionStep, ...]) -> _Program:
-    """Resolve labels to slots, checking label discipline and input kinds."""
+# into ``_PROGRAMS``, which serves applications and the replay of an
+# application's trace; ``replay_trace`` compiles only any other trace, and
+# ``_batched.SWEEP_PROGRAMS`` holds each kind's program pruned for a sweep.
+def _compile(
+    labels: tuple[str, ...], steps: tuple[ConstructionStep, ...], reads: tuple[str, ...] | None = None
+) -> _Program:
+    """Resolve labels to slots, checking label discipline and input kinds.
+
+    With ``reads``, the labels whose values or checks the caller needs,
+    one backward pass first drops every step that none of them depends
+    on; the program's ``source`` then holds the steps kept. Every given
+    point stays, and is checked.
+    """
+    if reads is not None:
+        needed, kept = set(reads), []
+        for step in reversed(steps):
+            if step.output in needed:
+                kept.append(step)
+                needed.update(step.inputs)
+        steps = tuple(reversed(kept))
     slots: dict[str, tuple[int, str]] = {}
     for label in labels:
         if label in slots:

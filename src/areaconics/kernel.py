@@ -127,8 +127,12 @@ class Point(_Value):
 
     def __post_init__(self) -> None:
         _point(FLOATS, self.x, self.y)
-        if self.label is not None and not self.label:
-            raise ValueError("point label must be non-empty when present")
+        label = self.label
+        if label is not None:
+            if not isinstance(label, str):
+                raise ValueError(f"point label must be a string or None, got {label!r}")
+            if not label:
+                raise ValueError("point label must be non-empty when present")
 
 
 class Segment(_Value):

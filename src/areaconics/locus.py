@@ -30,7 +30,6 @@ from pathlib import Path as FilePath
 from typing import Any
 
 from .constructions import (
-    _PROGRAMS,
     ApplicationKind,
     ApplicationSpec,
     AreaFamily,
@@ -234,13 +233,31 @@ def sample_locus(
     block is ordered by ascending y. The points come back as columns, a
     ``LocusSamples``.
 
+    The sweep runs its kind's program pruned to G and I
+    (``_batched.SWEEP_PROGRAMS``): E, F, EGB, AG_line, G and I, 6 of the
+    12 steps. I stays for its check: where the kernel snaps G to the
+    tangent foot A, |AG| = 0 and only I's "extension distance must be
+    positive" fails the height, which would otherwise return x = 0. The
+    six steps dropped (FG, IH_line, I_side, H, I_height, J) cannot fail
+    where E through I pass, so the pruned program fails at the same
+    height, with the same error, as ``apply_*``. Where I passes, I =
+    (a, 0) with a finite (I's point check) and positive: G off the foot
+    A lies √gap > 1e-6 above it (the tangent band is at least 1e-12),
+    and I carries |AG| along the base to rounding. So the line IH_line
+    through I perpendicular to AI, and the circle I_side of radius
+    |IA| = a, are well defined, and y is finite and positive. H and J
+    lie on circles centred on I, the anchor of IH_line, so the squared
+    distance h² of centre to line is 0: they never miss, and where
+    r² = a² or y² overflows, the infinite band takes a tangent at the
+    finite foot I.
+
     Heights must be strictly constructible: y > 0 everywhere, and
     lam * y_max < L for the ellipse (at lam*y = L the applied rectangle
     vanishes).
     """
     import numpy as np
 
-    from ._batched import ARRAYS, execute_batched
+    from ._batched import ARRAYS, SWEEP_PROGRAMS, execute_batched
 
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
@@ -260,7 +277,7 @@ def sample_locus(
     # at the first (an infinite y_max makes the first height NaN, which the
     # spec rejects).
     ApplicationSpec(family.kind, family.base_L, float(heights[0]), family.lam)
-    program = _PROGRAMS[family.kind]
+    program = SWEEP_PROGRAMS[family.kind]
     sides = np.empty_like(heights)
     # Silent, as in floats: the applied base L + k*y may overflow.
     with np.errstate(all="ignore"):

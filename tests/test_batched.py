@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from areaconics import constructions
-from areaconics._batched import ARRAYS, execute_batched
+from areaconics._batched import ARRAYS, SWEEP_PROGRAMS, execute_batched
 from areaconics.constructions import (
     _PROGRAMS,
     _STEPS,
@@ -158,13 +158,84 @@ def test_sample_locus_raises_the_first_failing_applications_error(kind, base, la
 def test_a_sweep_runs_the_kinds_compiled_program_without_compiling(kind, lam, monkeypatch):
     compiled = []
     compile_ = constructions._compile
-    monkeypatch.setattr(constructions, "_compile", lambda *args: compiled.append(args) or compile_(*args))
+    monkeypatch.setattr(constructions, "_compile", lambda *args, **kw: compiled.append(args) or compile_(*args, **kw))
     ran = []
     run = _Program.run
     monkeypatch.setattr(_Program, "run", lambda program, ns, initial: ran.append(program) or run(program, ns, initial))
-    sample_locus(kind, 2.0, SampleRange(0.1, 3.0, 3000), lam)
+    for _ in range(2):
+        sample_locus(kind, 2.0, SampleRange(0.1, 3.0, 3000), lam)
     assert compiled == []
-    assert ran and all(program is _PROGRAMS[_APPLICATION_KIND[kind]] for program in ran)
+    # The kind's pruned program, built once, for every run of both sweeps.
+    program = SWEEP_PROGRAMS[_APPLICATION_KIND[kind]]
+    assert ran and all(ran_program is program for ran_program in ran)
+    assert [step.output for step in program.source[1]] == ["E", "F", "EGB", "AG_line", "G", "I"]
+    assert program.source[0] == _PROGRAMS[_APPLICATION_KIND[kind]].source[0]
+
+
+def run_batched(program, given):
+    """``execute_batched``'s labelled values, or the error it raises."""
+    try:
+        return execute_batched(program, given)
+    except ValueError as exc:
+        return exc
+
+
+@st.composite
+def extreme_families(draw):
+    """A kind, L and lambda in [1e-300, 1e300], and heights across the float range.
+
+    Half the heights sit within 1e-12..1e3 of L, where more applications
+    pass; most of the others fail at some step.
+    """
+    kind = draw(st.sampled_from(list(ApplicationKind)))
+    base = draw(st.floats(1e-300, 1e300))
+    lam = None if kind is ApplicationKind.EXACT else draw(st.floats(1e-300, 1e300))
+    near = st.floats(-12.0, 3.0).map(lambda e: base * 10.0**e)
+    heights = draw(st.lists(st.one_of(st.floats(min_value=0.0), near), min_size=1, max_size=6))
+    return kind, base, lam, heights
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_families())
+@example((ApplicationKind.EXACT, 1e-6, None, [1e-8, 1e-6]))
+@example((ApplicationKind.EXACT, 1e150, None, [1e150, 2e154]))
+@example((ApplicationKind.EXCESS, 1.0, 1e300, [1e-300, 1.0]))
+def test_the_pruned_sweep_program_returns_and_fails_as_the_full_program(case):
+    kind, base, lam, heights = case
+    with np.errstate(all="ignore"):
+        given = _given_coordinates(AreaFamily(kind, base, lam), np.array(heights))
+    pruned = run_batched(SWEEP_PROGRAMS[kind], given)
+    full = run_batched(_PROGRAMS[kind], given)
+    if isinstance(full, Exception):
+        assert_same_error(pruned, full)
+        return
+    assert not isinstance(pruned, Exception), pruned
+    for label in ("G", "I"):
+        for got, want in zip(pruned[label], full[label], strict=True):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), label
+
+
+def test_the_sweep_keeps_I_whose_check_fails_a_height_snapped_to_the_tangent_foot():
+    # G snaps to the tangent foot A at these heights: |AG| = 0, which only
+    # I's extension check rejects.
+    with pytest.raises(GeometryError) as caught:
+        sample_locus(ConicKind.PARABOLA, 1e-6, SampleRange(1e-8, 2e-6, 200))
+    assert type(caught.value) is GeometryError
+    assert str(caught.value) == "extension distance must be positive, got 0.0"
+    # A program pruned to G alone would return those heights' x = 0.
+    family = AreaFamily(ApplicationKind.EXACT, 1e-6)
+    program = _compile(*_PROGRAMS[ApplicationKind.EXACT].source, reads=("G",))
+    env = execute_batched(program, _given_coordinates(family, np.array([1e-8])))
+    assert float(ARRAYS.hypot(*env["G"])[0]) == 0.0
+
+
+def test_a_sweep_whose_J_circle_overflows_still_returns_the_applications_sides():
+    # At y = 2e154 the circle of radius y about I has y² = inf; the sweep
+    # does not draw it, and its sides are still apply_exact's.
+    samples = sample_locus(ConicKind.PARABOLA, 1e150, SampleRange(1e149, 2e154, 50))
+    assert float(samples.y[-1]) == 2e154
+    for x, y in zip(samples.x.tolist(), samples.y.tolist()):
+        assert x.hex() == apply_exact(1e150, y).square_side_g.hex(), y
 
 
 @pytest.mark.parametrize(

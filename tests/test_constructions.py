@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from areaconics.constructions import (
     ApplicationKind,
@@ -516,6 +518,18 @@ def test_trace_labels_and_citations_must_be_json_strings(edits, message):
     with pytest.raises(MalformedTraceError) as caught:
         ConstructionTrace.from_json(json.dumps(doc))
     assert str(caught.value) == message
+
+
+@given(
+    labels=st.lists(st.text(min_size=1), min_size=3, max_size=3, unique=True),
+    citation=st.text(min_size=1),
+)
+def test_every_buildable_trace_reads_back_from_its_json(labels, citation):
+    # A non-string label or citation fails at construction (see test_values).
+    a, b, f = labels
+    trace = ConstructionTrace((Point(0, 0, a), Point(4, 0, b)), (ConstructionStep(StepOp.BISECT, (a, b), f, citation),))
+    assert ConstructionTrace.from_json(trace.to_json()) == trace
+    assert replay_trace(trace)[f] == Point(2.0, 0.0, f)
 
 
 @pytest.mark.parametrize("x", [4, 4.0])

@@ -405,6 +405,7 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
     [
         (lambda: Point(math.inf, 0), ValueError, r"point coordinates must be finite, got \(inf, 0.0\)"),
         (lambda: Point(0, 0, ""), ValueError, "point label must be non-empty when present"),
+        (lambda: Point(0, 0, 7), ValueError, "point label must be a string or None, got 7"),
         (lambda: Circle(Point(0, 0), 0), ValueError, "circle radius must be positive, got 0.0"),
         (
             lambda: Line(Point(0, 0), (1, 1)),
@@ -425,6 +426,22 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
             lambda: ConstructionStep(StepOp.BISECT, ("A", "B"), "F", ""),
             MalformedTraceError,
             "step citation must be non-empty",
+        ),
+        # A trace holding any of these would replay but not read back from its JSON.
+        (
+            lambda: ConstructionStep(StepOp.BISECT, ("A", "B"), "F", 10),
+            MalformedTraceError,
+            "step citation must be a string, got 10",
+        ),
+        (
+            lambda: ConstructionStep(StepOp.BISECT, ("A", None), "F", "I.10"),
+            MalformedTraceError,
+            "step input label must be a string, got None",
+        ),
+        (
+            lambda: ConstructionStep(StepOp.BISECT, ("A", "B"), 7, "I.10"),
+            MalformedTraceError,
+            "step output label must be a string, got 7",
         ),
         (
             lambda: ConstructionTrace([Point(0, 0)], []),
