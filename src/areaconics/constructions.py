@@ -221,7 +221,14 @@ class ConstructionTrace(_Value):
                 Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
                 for entry in data["initial"]
             )
-            steps = tuple(map(_step_from_json, data["steps"]))
+            # An application's steps, recognised whole, are its kind's very
+            # step objects, built and validated at import.
+            for kind, written in _STEP_DOCUMENTS.items():
+                if data["steps"] == written:
+                    steps = _STEPS[kind]
+                    break
+            else:
+                steps = tuple(map(_step_from_json, data["steps"]))
         except MalformedTraceError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -253,22 +260,7 @@ def _string(value: Any, what: str) -> str:
 
 
 def _step_from_json(entry: Any) -> ConstructionStep:
-    """The step a trace document's entry holds.
-
-    An entry equal to a step of ``_STEPS`` gives that step object back,
-    built and validated at import, so a parsed application's trace holds
-    the very steps its kind's program was compiled from. Any other entry
-    is converted field by field (op, inputs, output, citation) and
-    validated, and a malformed one fails there.
-    """
-    if type(entry) is dict and type(names := entry.get("inputs")) is list:
-        key = (entry.get("op"), tuple(names), entry.get("output"), entry.get("citation"))
-        try:
-            step = _CANONICAL_STEPS.get(key)
-        except TypeError:  # an unhashable field, which no canonical step holds
-            step = None
-        if step is not None:
-            return step
+    """The step a trace document's entry holds, built field by field and validated."""
     op = StepOp(entry["op"])
     names = entry["inputs"]
     if not isinstance(names, list):
@@ -367,8 +359,8 @@ def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     """
     source = (tuple([p.label for p in trace.initial]), trace.steps)
     for program in _PROGRAMS.values():
-        # A parsed application's steps are its kind's very step objects (see
-        # ``_step_from_json``), which tuple equality matches by identity.
+        # A parsed application's steps are its kind's very step tuple (see
+        # ``from_json_dict``), which tuple equality matches by identity.
         if program.source == source:
             break
     else:
@@ -562,17 +554,10 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built, validated and compiled once. A step
-# that kinds share is one object, filed under its JSON fields (the op's
-# value, the inputs as a tuple) for ``_step_from_json`` to hand back.
-_CANONICAL_STEPS: dict[tuple[Any, ...], ConstructionStep] = {}
-_STEPS = {
-    kind: tuple(
-        _CANONICAL_STEPS.setdefault((s.op.value, s.inputs, s.output, s.citation), s)
-        for s in _construction_steps("B" + _CORNER_SUFFIX[kind])
-    )
-    for kind in ApplicationKind
-}
+# The step program of each kind, built, validated and compiled once, and its
+# steps as ``to_json_dict`` writes them, for ``from_json_dict`` to recognise.
+_STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
+_STEP_DOCUMENTS = {kind: ConstructionTrace((), steps).to_json_dict()["steps"] for kind, steps in _STEPS.items()}
 _PROGRAMS = {
     family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
     for family in (

@@ -29,7 +29,6 @@ from .locus import (
     _family,
     conic_params,
     mirror,
-    sample_locus,
 )
 
 __all__ = [
@@ -438,11 +437,14 @@ def standard_figure(n: int) -> str:
         return render_svg(scene_from_application(_run_application(spec)))
     conic = ConicKind(kind)
     if "height" in params:
-        # One application and its reflection: a point on each branch.
-        result = _run_application(ApplicationSpec(_APPLICATION_KIND[conic], base, params["height"], lam))
-        g, y = result.square_side_g, result.spec.height_y
-        points = [LocusPoint(g, y, Branch.UPPER), LocusPoint(g, result.spec.family.reflect(y), Branch.LOWER)]
+        heights = [params["height"]]
     else:
-        sample_range = SampleRange(params["y_min"], params["y_max"], params["samples"])
-        points = sample_locus(conic, base, sample_range, lam)
+        heights = SampleRange(params["y_min"], params["y_max"], params["samples"]).heights()
+    # One application per height, each the point a sweep takes there.
+    specs = [ApplicationSpec(_APPLICATION_KIND[conic], base, y, lam) for y in heights]
+    points = [LocusPoint(_run_application(spec).square_side_g, spec.height_y, Branch.UPPER) for spec in specs]
+    family = specs[0].family
+    if family.k > 0.0:
+        # The lower branch, in ascending y as a sweep returns it.
+        points += [LocusPoint(p.x, family.reflect(p.y), Branch.LOWER) for p in reversed(points)]
     return render_svg(scene_from_locus(mirror(points), conic_params(conic, base, lam)))

@@ -624,16 +624,21 @@ def verify_residuals(
 def normalize_conic_coefficients(
     coeffs: Sequence[float],
 ) -> tuple[float, float, float, float, float, float]:
-    """Scale a 6-vector of conic coefficients so its largest entry is +1."""
+    """Scale a 6-vector of conic coefficients so its largest entry is +1.
+
+    The entry scaled to +1 is the first whose magnitude is within 1e-9
+    (relative) of the largest, so that coefficients a fit ties only to
+    rounding keep the sign the closed form gives them.
+    """
     values = [float(c) for c in coeffs]
     if len(values) != 6:
         raise LocusError(f"expected 6 conic coefficients, got {len(values)}")
     if not all(map(math.isfinite, values)):
         raise LocusError(f"conic coefficients must be finite, got {tuple(values)}")
-    pivot = max(range(6), key=lambda i: abs(values[i]))
-    if values[pivot] == 0.0:
+    largest = max(map(abs, values))
+    if largest == 0.0:
         raise DegenerateFitError("all conic coefficients vanish")
-    scale = values[pivot]
+    scale = next(v for v in values if abs(v) >= largest * (1.0 - 1e-9))
     # The + 0.0 folds any -0.0 entries back to +0.0.
     out = tuple(v / scale + 0.0 for v in values)
     return out  # type: ignore[return-value]

@@ -311,8 +311,7 @@ def test_verbs_that_neither_sweep_nor_fit_never_load_numpy(tmp_path):
         ["params", "--kind", "ellipse", "--base", "4", "--lambda", "0.75"],
         ["maxarea", "--base", "2", "--lambda", "1"],
         ["verify", "--points", str(points), "--kind", "parabola", "--base", "4", "--tol", "1e-9"],
-        ["figure", "--which", "1", "--out", str(tmp_path / "figure1.svg")],
-    ]
+    ] + [["figure", "--which", str(n), "--out", str(tmp_path / f"figure{n}.svg")] for n in range(1, 10)]
     assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(verbs))) == []
 
 

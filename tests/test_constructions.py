@@ -571,25 +571,23 @@ def test_parsing_an_applications_trace_returns_its_canonical_steps(kind, monkeyp
     assert all(got is want for got, want in zip(parsed.steps, _STEPS[kind]))
 
 
-def test_steps_the_kinds_share_are_one_object():
-    steps = [step for kind in ApplicationKind for step in _STEPS[kind]]
-    for step in steps:
-        assert all(other is step for other in steps if other == step)
-    describe = ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("F", "F", "E"), "EGB", "I.Def.18")
-    assert all(_STEPS[kind][2] == describe for kind in ApplicationKind)
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_a_parsed_applications_trace_holds_its_kinds_step_tuple(kind):
+    parsed = ConstructionTrace.from_json(APPLICATIONS[kind]().trace.to_json())
+    assert parsed.steps is _STEPS[kind]
 
 
 @pytest.mark.parametrize("kind", list(ApplicationKind))
-def test_a_changed_citation_gets_a_freshly_validated_step_that_replays_bit_exactly(kind, monkeypatch):
+def test_a_trace_with_a_changed_citation_validates_every_step_and_replays_bit_exactly(kind, monkeypatch):
     result = APPLICATIONS[kind]()
     doc = result.trace.to_json_dict()
     doc["steps"][4]["citation"] = "III.3"
     built = _count_step_validations(monkeypatch)
     parsed = ConstructionTrace.from_json(json.dumps(doc))
-    assert len(built) == 1 and built[0] is parsed.steps[4]
     canonical = _STEPS[kind]
+    assert len(built) == len(canonical) and all(got is step for got, step in zip(built, parsed.steps))
     assert parsed.steps[4] == ConstructionStep(canonical[4].op, canonical[4].inputs, canonical[4].output, "III.3")
-    assert all(got is want for i, (got, want) in enumerate(zip(parsed.steps, canonical)) if i != 4)
+    assert all(got == want for i, (got, want) in enumerate(zip(parsed.steps, canonical)) if i != 4)
     assert _hex_points(replay_trace(parsed)) == _hex_points(result.figure_points)
 
 
@@ -615,6 +613,30 @@ def test_replaying_a_parsed_trace_runs_its_kinds_program_without_compiling(kind,
     monkeypatch.setattr(ConstructionStep, "__eq__", lambda step, other: read.append(step) or eq(step, other))
     replayed = replay_trace(parsed)
     assert compiled == [] and read == []
+    assert len(ran) == 1 and ran[0] is _PROGRAMS[kind]
+    assert _hex_points(replayed) == _hex_points(result.figure_points)
+
+
+# Entries that hold an application's steps, written otherwise: with the keys
+# reordered the step list still equals its kind's, so no step is built; with
+# an extra key it does not, so every step is built, and each equals its kind's.
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+@pytest.mark.parametrize(
+    "rewrite, validated",
+    [(lambda entry: dict(reversed(entry.items())), 0), (lambda entry: entry | {"note": "extra"}, 12)],
+    ids=["keys reordered", "extra key"],
+)
+def test_an_applications_steps_written_otherwise_replay_on_its_kinds_program(kind, rewrite, validated, monkeypatch):
+    result = APPLICATIONS[kind]()
+    doc = result.trace.to_json_dict()
+    doc["steps"] = [rewrite(entry) for entry in doc["steps"]]
+    built = _count_step_validations(monkeypatch)
+    compiled = _count_compiles(monkeypatch)
+    ran = []
+    replay = _Program.replay
+    monkeypatch.setattr(_Program, "replay", lambda program, initial: ran.append(program) or replay(program, initial))
+    replayed = replay_trace(ConstructionTrace.from_json(json.dumps(doc)))
+    assert len(built) == validated and compiled == []
     assert len(ran) == 1 and ran[0] is _PROGRAMS[kind]
     assert _hex_points(replayed) == _hex_points(result.figure_points)
 

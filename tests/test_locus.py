@@ -483,6 +483,28 @@ def test_normalize_conic_coefficients():
         normalize_conic_coefficients((1, 2, 3))
 
 
+def test_normalize_conic_coefficients_pivots_on_the_first_of_near_tied_magnitudes():
+    # -4 outweighs 4 - 4e-10 by 1e-10 relative: a tie to rounding, so the first entry is +1.
+    assert normalize_conic_coefficients((4 - 4e-10, 0, 0, 0, -4, 0)) == (1.0, 0.0, 0.0, 0.0, -4 / (4 - 4e-10), 0.0)
+    # Beyond 1e-9 relative, the largest magnitude is +1, as before.
+    assert normalize_conic_coefficients((4 - 4e-8, 0, 0, 0, -4, 0)) == ((4 - 4e-8) / -4, 0.0, 0.0, 0.0, 1.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, heights",
+    [
+        # x**2 = y: the x**2 and y coefficients tie.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(0.1, 1.9, 200)),
+        # x**2 = 1e-3*y + y**2: the x**2 and y**2 coefficients tie.
+        (ConicKind.HYPERBOLA, 1e-3, 1.0, SampleRange(1e-4, 1.9e-3, 200)),
+    ],
+)
+def test_a_fit_keeps_the_closed_forms_sign_where_its_coefficients_tie(kind, base, lam, heights):
+    fitted = fit_conic_oracle(mirror(sample_locus(kind, base, heights, lam)))
+    expected = conic_params(kind, base, lam).implicit_coefficients()
+    assert fitted == pytest.approx(expected, abs=1e-6)
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [
