@@ -467,25 +467,28 @@ class ApplicationSpec(_Value):
 class ApplicationResult(_Value):
     """Output of one application: figure points, scalars, and the trace.
 
-    Invariants (within tolerance): ``area_X == rect_base_b * height_y``,
-    ``square_side_g**2 == area_X``, and ``J == (square_side_g, height_y)``.
+    The constructor computes ``rect_base_b``, the applied base L + k*y of
+    ``spec``, and ``area_X = rect_base_b * height_y``, so that relation
+    holds by construction. ``square_side_g**2 == area_X`` and
+    ``J == (square_side_g, height_y)`` hold only within the construction's
+    tolerance, and are not checked here.
     """
 
-    __match_args__ = ("spec", "rect_base_b", "area_X", "square_side_g", "J", "figure_points", "trace")
+    __match_args__ = ("spec", "square_side_g", "J", "figure_points", "trace")
+    _fields = ("spec", "rect_base_b", "area_X", "square_side_g", "J", "figure_points", "trace")
 
     def __init__(
         self,
         spec: ApplicationSpec,
-        rect_base_b: float,
-        area_X: float,
         square_side_g: float,
         J: Point,
         figure_points: dict[str, Point],
         trace: ConstructionTrace,
     ) -> None:
+        base = spec.rect_base
         _bind(self, "spec", spec)
-        _bind(self, "rect_base_b", rect_base_b)
-        _bind(self, "area_X", area_X)
+        _bind(self, "rect_base_b", base)
+        _bind(self, "area_X", base * spec.height_y)
         _bind(self, "square_side_g", square_side_g)
         _bind(self, "J", J)
         _bind(self, "figure_points", figure_points)
@@ -572,17 +575,12 @@ def _run_application(spec: ApplicationSpec) -> ApplicationResult:
     coords = _given_coordinates(spec.family, spec.height_y)
     initial = tuple(Point(x, y, label) for label, (x, y) in coords.items())
     points = _PROGRAMS[spec.kind].replay(initial)
-    trace = ConstructionTrace(initial, _STEPS[spec.kind])
-    square_side = distance(points["A"], points["G"])
-    base = spec.rect_base
     return ApplicationResult(
         spec=spec,
-        rect_base_b=base,
-        area_X=base * spec.height_y,
-        square_side_g=square_side,
+        square_side_g=distance(points["A"], points["G"]),
         J=points["J"],
         figure_points=points,
-        trace=trace,
+        trace=ConstructionTrace(initial, _STEPS[spec.kind]),
     )
 
 

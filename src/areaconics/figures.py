@@ -26,7 +26,6 @@ from .locus import (
     ConicSpec,
     LocusPoint,
     SampleRange,
-    _family,
     conic_params,
     mirror,
 )
@@ -236,7 +235,7 @@ def scene_from_locus(points: Sequence[LocusPoint], spec: ConicSpec) -> Scene:
     """
     if not points:
         raise EmptySceneError("cannot build a scene from an empty locus")
-    family = _family(spec.kind, spec.base_L, spec.lam)
+    family = spec.family
     prims: list[StyledPrimitive] = []
     for p in points:
         prims.append(StyledPrimitive(Dot(Point(p.x, p.y))))

@@ -9,7 +9,7 @@ axis and, for the hyperbola, by reflection across the conjugate axis
 y = -L/(2*lam).
 
 ``sample_locus`` drives the constructions, never the closed forms; the
-closed forms live in ``conic_params`` and ``verify_residuals``, so
+closed forms live in ``ConicSpec`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
 cross check on sampled points. A sweep returns its points as columns,
@@ -306,14 +306,26 @@ def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:
 
 
 class ConicSpec(_Value):
-    """Closed-form parameters of a traced conic.
+    """Closed-form parameters of the conic traced by the family (kind, L, lam).
 
-    Fields that do not apply to a kind are absent (None/empty) rather
-    than zero-filled; the asymptote fields exist only for the hyperbola.
-    Vertices are the curve's points on the height axis.
+    Parabola: x**2 = L*y, vertex at the origin. Ellipse: center
+    (0, L/(2*lam)), semi-axes L/(2*sqrt(lam)) along the base and
+    L/(2*lam) along the height, eccentricity sqrt(1 - lam) for lam <= 1
+    (a circle of radius L/2 at lam = 1) and sqrt(1 - 1/lam) otherwise.
+    Hyperbola: center (0, -L/(2*lam)), vertices (0, 0) and (0, -L/lam),
+    asymptotes y = -L/(2*lam) +- x/sqrt(lam), eccentricity sqrt(1 + lam).
+
+    The constructor takes kind, L and lam, and computes the other fields
+    from them. Fields that do not apply to a kind are None rather than
+    zero-filled; the asymptote fields exist only for the hyperbola.
+    Vertices are the curve's points on the height axis. ``family`` is the
+    validated area family; it is left out of ``==``, ``hash`` and ``repr``.
+    Invalid parameters raise LocusError, and so does an L/lam past the
+    float range.
     """
 
-    __match_args__ = (
+    __match_args__ = ("kind", "base_L", "lam")
+    _fields = (
         "kind",
         "base_L",
         "lam",
@@ -326,29 +338,29 @@ class ConicSpec(_Value):
         "conjugate_axis_y",
     )
 
-    def __init__(
-        self,
-        kind: ConicKind,
-        base_L: float,
-        lam: float | None = None,
-        center: Point | None = None,
-        semi_axis_x: float | None = None,
-        semi_axis_y: float | None = None,
-        vertices: Sequence[Point] = (),
-        eccentricity: float | None = None,
-        asymptote_slopes: tuple[float, float] | None = None,
-        conjugate_axis_y: float | None = None,
-    ) -> None:
-        vertices = tuple(vertices)
-        if kind is ConicKind.ELLIPSE:
-            if eccentricity is None or not (0.0 <= eccentricity < 1.0):
-                raise LocusError(f"ellipse eccentricity must be in [0, 1), got {eccentricity}")
-        if kind is ConicKind.HYPERBOLA:
-            if eccentricity is None or not (eccentricity > 1.0):
-                raise LocusError(f"hyperbola eccentricity must exceed 1, got {eccentricity}")
-        has_asymptotes = asymptote_slopes is not None or conjugate_axis_y is not None
-        if has_asymptotes != (kind is ConicKind.HYPERBOLA):
-            raise LocusError("asymptote fields are present exactly for the hyperbola")
+    def __init__(self, kind: ConicKind, base_L: float, lam: float | None = None) -> None:
+        family = _family(kind, base_L, lam)
+        base_L, lam = family.base_L, family.lam
+        center = semi_axis_x = semi_axis_y = eccentricity = asymptote_slopes = conjugate_axis_y = None
+        vertices: tuple[Point, ...] = (Point(0.0, 0.0, "A"),)
+        if lam is not None:  # the ellipse or the hyperbola
+            # The far vertex's distance from A, the largest of the closed forms.
+            span = base_L / lam
+            if span == math.inf:
+                raise LocusError(f"L/lambda for L = {base_L}, lambda = {lam} overflows the float range")
+            root_lam = math.sqrt(lam)
+            semi_axis_x = base_L / (2.0 * root_lam)
+            semi_axis_y = base_L / (2.0 * lam)
+            if kind is ConicKind.ELLIPSE:
+                center = Point(0.0, semi_axis_y)
+                vertices += (Point(0.0, span),)
+                eccentricity = math.sqrt(1.0 - lam) if lam <= 1.0 else math.sqrt(1.0 - 1.0 / lam)
+            else:
+                conjugate_axis_y = -semi_axis_y
+                center = Point(0.0, conjugate_axis_y)
+                vertices += (Point(0.0, -span, "A*"),)
+                eccentricity = math.sqrt(1.0 + lam)
+                asymptote_slopes = (1.0 / root_lam, -1.0 / root_lam)
         _bind(self, "kind", kind)
         _bind(self, "base_L", base_L)
         _bind(self, "lam", lam)
@@ -359,6 +371,7 @@ class ConicSpec(_Value):
         _bind(self, "eccentricity", eccentricity)
         _bind(self, "asymptote_slopes", asymptote_slopes)
         _bind(self, "conjugate_axis_y", conjugate_axis_y)
+        _bind(self, "family", family)
 
     def implicit_coefficients(self) -> tuple[float, float, float, float, float, float]:
         """Coefficients (a, b, c, d, e, f) of a*x^2 + b*xy + c*y^2 + d*x + e*y + f = 0.
@@ -366,7 +379,7 @@ class ConicSpec(_Value):
         Gauge-normalized so the largest-magnitude coefficient is +1,
         matching the normalization of ``fit_conic_oracle``.
         """
-        family = _family(self.kind, self.base_L, self.lam)
+        family = self.family
         return normalize_conic_coefficients((1.0, 0.0, -family.k, 0.0, -family.base_L, 0.0))
 
     def to_json_dict(self) -> dict[str, Any]:
@@ -391,46 +404,8 @@ class ConicSpec(_Value):
 
 
 def conic_params(kind: ConicKind, base_L: float, lam: float | None = None) -> ConicSpec:
-    """Closed-form conic parameters for the given base length and aspect ratio.
-
-    Parabola: x**2 = L*y, vertex at the origin. Ellipse: center
-    (0, L/(2*lam)), semi-axes L/(2*sqrt(lam)) along the base and
-    L/(2*lam) along the height, eccentricity sqrt(1 - lam) for lam <= 1
-    (a circle of radius L/2 at lam = 1) and sqrt(1 - 1/lam) otherwise.
-    Hyperbola: center (0, -L/(2*lam)), vertices (0, 0) and (0, -L/lam),
-    asymptotes y = -L/(2*lam) +- x/sqrt(lam), eccentricity sqrt(1 + lam).
-    """
-    family = _family(kind, base_L, lam)
-    base_L, lam = family.base_L, family.lam
-    if lam is None:  # the parabola, k = 0
-        return ConicSpec(kind=kind, base_L=base_L, vertices=(Point(0.0, 0.0, "A"),))
-    half_height = base_L / (2.0 * lam)
-    half_width = base_L / (2.0 * math.sqrt(lam))
-    if kind is ConicKind.ELLIPSE:
-        ecc = math.sqrt(1.0 - lam) if lam <= 1.0 else math.sqrt(1.0 - 1.0 / lam)
-        return ConicSpec(
-            kind=kind,
-            base_L=base_L,
-            lam=lam,
-            center=Point(0.0, half_height),
-            semi_axis_x=half_width,
-            semi_axis_y=half_height,
-            vertices=(Point(0.0, 0.0, "A"), Point(0.0, base_L / lam)),
-            eccentricity=ecc,
-        )
-    root_lam = math.sqrt(lam)
-    return ConicSpec(
-        kind=kind,
-        base_L=base_L,
-        lam=lam,
-        center=Point(0.0, -half_height),
-        semi_axis_x=half_width,
-        semi_axis_y=half_height,
-        vertices=(Point(0.0, 0.0, "A"), Point(0.0, -base_L / lam, "A*")),
-        eccentricity=math.sqrt(1.0 + lam),
-        asymptote_slopes=(1.0 / root_lam, -1.0 / root_lam),
-        conjugate_axis_y=-half_height,
-    )
+    """Closed-form conic parameters for the given base length and aspect ratio (see ``ConicSpec``)."""
+    return ConicSpec(kind, base_L, lam)
 
 
 def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
@@ -459,13 +434,24 @@ class VerificationReport(_Value):
     ``max_residual`` is over the vertex-form equation (x**2 versus
     L*y -+ lam*y**2, with lower-branch points reflected first);
     ``max_standard_residual`` is over the dimensionless standard form.
-    The pass flag compares the vertex-form maximum against
-    ``tol * max(1, L**2)``, the natural area scale of the residual.
-    A nan residual (a non-finite point) counts as the largest: the first
-    such point is reported as the worst, and the check fails.
+    The constructor computes ``threshold``, ``tol * max(1, L**2)``, the
+    natural area scale of the residual, and ``passed``, whether the
+    vertex-form maximum is at most the threshold. A nan residual (a
+    non-finite point) counts as the largest: the first such point is
+    reported as the worst, and the check fails.
     """
 
     __match_args__ = (
+        "kind",
+        "base_L",
+        "lam",
+        "tol",
+        "max_residual",
+        "worst",
+        "max_standard_residual",
+        "standard_worst",
+    )
+    _fields = (
         "kind",
         "base_L",
         "lam",
@@ -484,19 +470,18 @@ class VerificationReport(_Value):
         base_L: float,
         lam: float | None,
         tol: float,
-        threshold: float,
-        passed: bool,
         max_residual: float,
         worst: LocusPoint | None,
         max_standard_residual: float,
         standard_worst: LocusPoint | None,
     ) -> None:
+        threshold = tol * max(1.0, base_L * base_L)
         _bind(self, "kind", kind)
         _bind(self, "base_L", base_L)
         _bind(self, "lam", lam)
         _bind(self, "tol", tol)
         _bind(self, "threshold", threshold)
-        _bind(self, "passed", passed)
+        _bind(self, "passed", max_residual <= threshold)
         _bind(self, "max_residual", max_residual)
         _bind(self, "worst", worst)
         _bind(self, "max_standard_residual", max_standard_residual)
@@ -572,7 +557,6 @@ def verify_residuals(
     family = _family(kind, base_L, lam)
     if not (0.0 <= tol < math.inf):
         raise LocusError(f"tolerance must be finite and nonnegative, got {tol}")
-    base_L = family.base_L
     residuals = _residual_forms(family)
     # A nan residual is the worst: the worst point is the first nan, else
     # the first maximum.
@@ -606,14 +590,11 @@ def verify_residuals(
                 standard_worst = p
     if worst is None:  # no points
         max_residual = max_standard = 0.0
-    threshold = tol * max(1.0, base_L * base_L)
     return VerificationReport(
         kind=kind,
-        base_L=base_L,
+        base_L=family.base_L,
         lam=lam,
         tol=tol,
-        threshold=threshold,
-        passed=max_residual <= threshold,
         max_residual=max_residual,
         worst=worst,
         max_standard_residual=max_standard,

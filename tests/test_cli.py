@@ -188,6 +188,38 @@ def test_params_json(capsys):
     assert doc["eccentricity"] == pytest.approx(math.sqrt(2.0), abs=1e-15)
 
 
+_ROUNDS_TO_ONE = {
+    ("ellipse", "1e-17"): {
+        "kind": "ellipse", "base_L": 2.0, "lambda": 1e-17, "center": [0.0, 1e17],
+        "semi_axis_x": 316227766.0168379, "semi_axis_y": 1e17, "vertices": [[0.0, 0.0], [0.0, 2e17]],
+        "eccentricity": 1.0,
+    },
+    ("ellipse", "1e17"): {
+        "kind": "ellipse", "base_L": 2.0, "lambda": 1e17, "center": [0.0, 1e-17],
+        "semi_axis_x": 3.162277660168379e-09, "semi_axis_y": 1e-17, "vertices": [[0.0, 0.0], [0.0, 2e-17]],
+        "eccentricity": 1.0,
+    },
+    ("hyperbola", "1e-17"): {
+        "kind": "hyperbola", "base_L": 2.0, "lambda": 1e-17, "center": [0.0, -1e17],
+        "semi_axis_x": 316227766.0168379, "semi_axis_y": 1e17, "vertices": [[0.0, 0.0], [0.0, -2e17]],
+        "eccentricity": 1.0, "asymptote_slopes": [316227766.0168379, -316227766.0168379],
+        "conjugate_axis_y": -1e17,
+    },
+    ("hyperbola", "1e-16"): {
+        "kind": "hyperbola", "base_L": 2.0, "lambda": 1e-16, "center": [0.0, -1e16],
+        "semi_axis_x": 100000000.0, "semi_axis_y": 1e16, "vertices": [[0.0, 0.0], [0.0, -2e16]],
+        "eccentricity": 1.0, "asymptote_slopes": [100000000.0, -100000000.0], "conjugate_axis_y": -1e16,
+    },
+}
+
+
+@pytest.mark.parametrize("kind, lam", sorted(_ROUNDS_TO_ONE))
+def test_params_prints_an_eccentricity_that_rounds_to_one(capsys, kind, lam):
+    # These used to exit 1: a range check rejected the correctly rounded e = 1.0.
+    assert run(["params", "--kind", kind, "--base", "2", "--lambda", lam]) == 0
+    assert json.loads(capsys.readouterr().out) == _ROUNDS_TO_ONE[kind, lam]
+
+
 def test_figure_writes_svg(tmp_path):
     out = tmp_path / "figure3.svg"
     assert run(["figure", "--which", "3", "--out", str(out)]) == 0

@@ -28,7 +28,7 @@ from areaconics.constructions import (
     solve_height_for_area,
 )
 from areaconics import constructions
-from areaconics.kernel import Circle, Line, Point, distance, intersect_circle_line
+from areaconics.kernel import Circle, GeometryError, Line, Point, distance, intersect_circle_line
 
 
 def test_apply_exact_reference_case():
@@ -710,3 +710,25 @@ def test_result_invariants_random_spot_checks():
         assert result.square_side_g**2 == pytest.approx(result.area_X, rel=1e-9)
         assert result.J.x == pytest.approx(result.square_side_g, rel=1e-12)
         assert result.J.y == pytest.approx(height, rel=1e-12)
+
+
+# What ROADMAP item 1 (lengths compared with lengths in the tangency test)
+# still owes: the kernel's squared-length band snaps these intersections to
+# a tangent foot. Its fix turns each into a plain test.
+_ITEM_1 = "ROADMAP item 1: the tangency band compares a squared length with a length"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1 + "; J is taken at the foot I")
+def test_a_small_height_reaches_j():
+    assert apply_exact(1, 1e-7).J.y == 1e-7  # J = (3.16e-4, 0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_1 + "; y**2 overflows and the band is inf")
+def test_a_large_scale_reaches_j():
+    assert apply_exact(1e150, 2e154).J.y == 2e154  # J.y = 0.0
+
+
+@pytest.mark.xfail(strict=True, raises=GeometryError, reason=_ITEM_1 + "; G is taken at the foot A")
+def test_a_large_height_to_base_ratio_is_constructed():
+    # extension distance must be positive, got 0.0
+    assert apply_exact(1, 5e9).J.y == 5e9

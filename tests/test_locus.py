@@ -5,6 +5,8 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from areaconics.constructions import (
     ApplicationKind,
@@ -226,11 +228,63 @@ def test_conic_params_errors():
         conic_params(ConicKind.PARABOLA, 2, lam=1)
 
 
-def test_conic_spec_invariants():
-    with pytest.raises(LocusError):
-        ConicSpec(kind=ConicKind.ELLIPSE, base_L=2.0, lam=1.0, eccentricity=1.5)
-    with pytest.raises(LocusError):
-        ConicSpec(kind=ConicKind.PARABOLA, base_L=2.0, conjugate_axis_y=1.0)
+@pytest.mark.parametrize(
+    "kind, lam",
+    [
+        (ConicKind.ELLIPSE, 1e-17),
+        (ConicKind.ELLIPSE, 1e17),
+        (ConicKind.HYPERBOLA, 1e-17),
+        (ConicKind.HYPERBOLA, 1e-16),
+    ],
+)
+def test_an_eccentricity_that_rounds_to_one_is_returned(kind, lam):
+    # sqrt(1 - lam), sqrt(1 - 1/lam) and sqrt(1 + lam) round to 1.0 here;
+    # a range check on the eccentricity used to raise LocusError.
+    spec = conic_params(kind, 2, lam)
+    assert spec.eccentricity == 1.0
+    assert spec.to_json_dict()["eccentricity"] == 1.0
+
+
+def test_conic_params_past_the_float_range():
+    # L/lambda = 1e600: the far vertex cannot be held.
+    for kind in (ConicKind.ELLIPSE, ConicKind.HYPERBOLA):
+        with pytest.raises(LocusError, match=r"^L/lambda for L = 1e\+300, lambda = 1e-300 overflows the float range$"):
+            conic_params(kind, 1e300, 1e-300)
+
+
+# Valid magnitudes, and values that no base or aspect ratio may take.
+_INVALID = [0.0, -1.0, math.inf, math.nan]
+_BASE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from(_INVALID))
+_RATIO = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([None, *_INVALID]))
+
+
+@given(kind=st.sampled_from(ConicKind), base=_BASE, lam=_RATIO)
+def test_a_conic_spec_holds_its_invariants_by_construction(kind, base, lam):
+    valid = 0.0 < base < math.inf and (
+        lam is None if kind is ConicKind.PARABOLA else lam is not None and 0.0 < lam < math.inf
+    )
+    if not valid:
+        with pytest.raises(LocusError):
+            ConicSpec(kind, base, lam)
+        return
+    if lam is not None and base / lam == math.inf:
+        with pytest.raises(LocusError, match="overflows the float range"):
+            ConicSpec(kind, base, lam)
+        return
+    spec = ConicSpec(kind, base, lam)
+    assert spec == conic_params(kind, base, lam)
+    e = spec.eccentricity
+    if kind is ConicKind.ELLIPSE:
+        assert 0.0 <= e <= 1.0
+    elif kind is ConicKind.HYPERBOLA:
+        assert e >= 1.0
+    else:
+        assert e is None
+    is_hyperbola = kind is ConicKind.HYPERBOLA
+    assert (spec.asymptote_slopes is not None) is is_hyperbola
+    assert (spec.conjugate_axis_y is not None) is is_hyperbola
+    if is_hyperbola:
+        assert spec.conjugate_axis_y == spec.center.y
 
 
 def test_conic_spec_json():

@@ -54,8 +54,6 @@ def _trace():
 def _result():
     return ApplicationResult(
         spec=ApplicationSpec(EXACT, 4, 1),
-        rect_base_b=4.0,
-        area_X=4.0,
         square_side_g=2.0,
         J=Point(2, 1, "J"),
         figure_points={"J": Point(2, 1, "J")},
@@ -69,8 +67,6 @@ def _report():
         base_L=2.0,
         lam=None,
         tol=1e-9,
-        threshold=4e-9,
-        passed=True,
         max_residual=0.5,
         worst=LocusPoint(1, 0.25),
         max_standard_residual=0.5,
@@ -79,18 +75,7 @@ def _report():
 
 
 def _hyperbola():
-    return ConicSpec(
-        kind=ConicKind.HYPERBOLA,
-        base_L=2.0,
-        lam=1.0,
-        center=Point(0, -1),
-        semi_axis_x=1.0,
-        semi_axis_y=1.0,
-        vertices=[Point(0, 0, "A"), Point(0, -2, "A*")],
-        eccentricity=1.5,
-        asymptote_slopes=(1.0, -1.0),
-        conjugate_axis_y=-1.0,
-    )
+    return ConicSpec(kind=ConicKind.HYPERBOLA, base_L=2.0, lam=1.0)
 
 
 # name: (builder, its repr, the fields that ==, hash and repr read). The
@@ -162,7 +147,7 @@ CASES = {
         "ConicSpec(kind=<ConicKind.HYPERBOLA: 'hyperbola'>, base_L=2.0, lam=1.0, "
         "center=Point(x=0.0, y=-1.0, label=None), semi_axis_x=1.0, semi_axis_y=1.0, "
         "vertices=(Point(x=0.0, y=0.0, label='A'), Point(x=0.0, y=-2.0, label='A*')), "
-        "eccentricity=1.5, asymptote_slopes=(1.0, -1.0), conjugate_axis_y=-1.0)",
+        "eccentricity=1.4142135623730951, asymptote_slopes=(1.0, -1.0), conjugate_axis_y=-1.0)",
         (
             "kind",
             "base_L",
@@ -179,7 +164,7 @@ CASES = {
     "VerificationReport": (
         _report,
         "VerificationReport(kind=<ConicKind.PARABOLA: 'parabola'>, base_L=2.0, lam=None, tol=1e-09, "
-        "threshold=4e-09, passed=True, max_residual=0.5, "
+        "threshold=4e-09, passed=False, max_residual=0.5, "
         "worst=LocusPoint(x=1.0, y=0.25, branch=<Branch.UPPER: 'upper'>), max_standard_residual=0.5, "
         "standard_worst=None)",
         (
@@ -228,6 +213,18 @@ CASES = {
 # The constructor's fields, where they differ from the compared ones.
 INIT_FIELDS = {
     "AreaFamily": ("kind", "base_L", "lam"),
+    "ApplicationResult": ("spec", "square_side_g", "J", "figure_points", "trace"),
+    "ConicSpec": ("kind", "base_L", "lam"),
+    "VerificationReport": (
+        "kind",
+        "base_L",
+        "lam",
+        "tol",
+        "max_residual",
+        "worst",
+        "max_standard_residual",
+        "standard_worst",
+    ),
 }
 
 
@@ -371,7 +368,7 @@ def test_defaults():
     assert ApplicationSpec(kind=EXACT, base_L=2, height_y=1).lam is None
     assert LocusPoint(x=1, y=2).branch is Branch.UPPER
     parabola = ConicSpec(kind=ConicKind.PARABOLA, base_L=4.0)
-    assert _fields(parabola, CASES["ConicSpec"][2][2:]) == (None,) * 4 + ((), None, None, None)
+    assert _fields(parabola, CASES["ConicSpec"][2][2:]) == (None,) * 4 + ((Point(0, 0, "A"),), None, None, None)
     assert StyledPrimitive(shape=Dot(Point(0, 0))).stroke is Stroke.SOLID
     assert Scene(primitives=[]).bounds is None
 
@@ -398,6 +395,19 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
     assert "family" not in repr(spec)
     assert hash(spec) == hash((DEFICIENT, 4.0, 1.0, 0.5))
     assert spec.rect_base == 3.5
+
+
+def test_derived_fields_are_computed_from_the_others():
+    report = VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 4e-9, None, 0.0, None)
+    assert (report.threshold, report.passed) == (4e-9, True)
+    # The threshold is tol * max(1, L**2); a nan residual fails.
+    report = VerificationReport(ConicKind.PARABOLA, 0.5, None, 1e-9, math.nan, None, 0.0, None)
+    assert (report.threshold, report.passed) == (1e-9, False)
+    result = ApplicationResult(ApplicationSpec(DEFICIENT, 4, 2, 0.5), 2.0, Point(2, 2), {}, _trace())
+    assert (result.rect_base_b, result.area_X) == (3.0, 6.0)
+    spec = ConicSpec(ConicKind.ELLIPSE, 4, 1)
+    assert spec.family == AreaFamily(DEFICIENT, 4.0, 1.0)
+    assert "family" not in repr(spec)
 
 
 @pytest.mark.parametrize(
@@ -492,21 +502,6 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
         (lambda: SampleRange(1, 1, 2), LocusError, r"need y_min < y_max, got \[1.0, 1.0\]"),
         (lambda: SampleRange(0, 1, 1), LocusError, "need at least 2 samples, got 1"),
         (
-            lambda: ConicSpec(ConicKind.ELLIPSE, 1.0, 1.0, eccentricity=1.0),
-            LocusError,
-            r"ellipse eccentricity must be in \[0, 1\), got 1.0",
-        ),
-        (
-            lambda: ConicSpec(ConicKind.HYPERBOLA, 1.0, 1.0, eccentricity=1.0),
-            LocusError,
-            "hyperbola eccentricity must exceed 1, got 1.0",
-        ),
-        (
-            lambda: ConicSpec(ConicKind.PARABOLA, 1.0, conjugate_axis_y=0.0),
-            LocusError,
-            "asymptote fields are present exactly for the hyperbola",
-        ),
-        (
             lambda: Arc(Circle(Point(0, 0), 1), 1, 1),
             FigureError,
             r"arc angles must satisfy start < end, got \[1.0, 1.0\]",
@@ -535,6 +530,14 @@ def test_validation_errors(make, error, message):
         lambda: AreaFamily(EXACT, 1, None, 0.0),
         lambda: AreaFamily(EXACT, 1, k=0.0),
         lambda: ApplicationSpec(EXACT, 1, 1, family=None),
+        # The fields computed from the others are not constructor arguments.
+        lambda: ConicSpec(ConicKind.ELLIPSE, 1, 1, eccentricity=1.0),
+        lambda: ConicSpec(ConicKind.HYPERBOLA, 2, 1, Point(0, -1)),
+        lambda: ConicSpec(ConicKind.PARABOLA, 1, family=None),
+        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, 0.5, None, threshold=4e-9),
+        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, 0.5, None, passed=True),
+        lambda: ApplicationResult(ApplicationSpec(EXACT, 4, 1), 2.0, Point(2, 1), {}, _trace(), rect_base_b=4.0),
+        lambda: ApplicationResult(ApplicationSpec(EXACT, 4, 1), 2.0, Point(2, 1), {}, _trace(), area_X=4.0),
     ],
 )
 def test_constructors_reject_extra_and_missing_arguments(make):
