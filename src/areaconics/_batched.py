@@ -6,7 +6,7 @@ per coordinate, with one entry per height, and a compiled program (in a
 sweep, the kind's program pruned to what the sweep reads,
 ``SWEEP_PROGRAMS``) runs each step once over all of them, through the
 kernel's primitives over the numpy namespace ``ARRAYS`` (with a run's own
-``check``, ``_Run``). So every entry equals, bit for bit, what the float
+checks, ``_Run``). So every entry equals, bit for bit, what the float
 run computes for that height alone.
 
 A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
@@ -15,11 +15,13 @@ two constants is one scalar operation, not one per height, and a run
 returns it as one.
 
 A run's checks do not stop it. Each check ANDs its mask into the run's
-one mask, and the run ends with one reduction. Up to a height's first
-failing check its values are the float run's, so the lowest height the
-mask rejects is the first height that fails in floats; the error itself
-comes from one float run at that height (see ``execute_batched``). What a
-run computes past a failed check is discarded.
+one mask, and the run ends with one reduction. The given points are
+checked first, once per distinct column; each step checks the points it
+makes. Up to a height's first failing check its values are the float
+run's, so the lowest height the mask rejects is the first height that
+fails in floats; the error itself comes from one float run at that
+height (see ``execute_batched``). What a run computes past a failed
+check is discarded.
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
@@ -36,13 +38,14 @@ does not sweep.
 
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from .constructions import _PROGRAMS, _compile, _Program
-from .kernel import FLOATS
+from .kernel import _NOT_FINITE, Point
 
 
 def _hypot(x: Any, y: Any) -> Any:
@@ -71,13 +74,21 @@ SWEEP_PROGRAMS = {kind: _compile(*program.source, reads=("G", "I")) for kind, pr
 
 
 class _Run(SimpleNamespace):
-    """``ARRAYS`` for one run, with a check that records: ``ok`` is every mask ANDed."""
+    """``ARRAYS`` for one run, with checks that record: ``ok`` is every mask ANDed."""
 
     def __init__(self) -> None:
         super().__init__(**vars(ARRAYS), ok=np.True_)
 
     def check(self, ok: Any, error: type[Exception], message: str, *values: Any) -> None:
-        self.ok = self.ok & ok
+        if ok.ndim:
+            self.ok = self.ok & ok
+        # A 0-d mask, a check on constants alone, fails every height or none.
+        elif not ok:
+            self.ok = np.False_
+
+    def check_finite(self, x: Any, y: Any, skip: Any = False) -> None:
+        finite = np.isfinite(x) & np.isfinite(y)
+        self.check(finite if skip is False else finite | skip, ValueError, _NOT_FINITE, x, y)
 
 
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
@@ -88,23 +99,29 @@ def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dic
     every height. Returns every labelled entity as the run computed it,
     in the form ``given`` takes: a coordinate that varies with height is
     an array of the run's length, a constant one a numpy scalar. On a
-    failure the run's mask gives the first failing height i, and the
-    program runs over floats at height i alone, which raises that
-    height's error, class and message.
+    failure the run's mask gives the first failing height i, and height
+    i's given points, built as ``Point``s, are replayed over floats,
+    which raises that height's error, class and message.
     """
     # A numpy scalar, not a float: float division by zero raises, where
     # numpy's follows the errstate below.
     initial = [tuple(c if isinstance(c, np.ndarray) else np.float64(c) for c in point) for point in given.values()]
     run = _Run()
+    # The given points' finite check, once per column: in a sweep C, D and
+    # the applied corner C± share the heights array, and B± and C± the base b.
+    for column in {id(c): c for point in initial for c in point}.values():
+        finite = np.isfinite(column) if column.ndim else np.bool_(math.isfinite(column))
+        run.check(finite, ValueError, _NOT_FINITE)
     with np.errstate(all="ignore"):
         env = program.run(run, initial)
     if run.ok.all():
         return dict(zip(program.labels, env))
     # No check fails at any height below i, and up to a height's first
     # failing check the batched values are the float values bit for bit,
-    # so the float run at height i raises what ``apply_*`` raises at the
-    # first failing height. A 0-d mask, from checks on constants alone,
-    # fails at every height and gives i = 0.
+    # so the float replay at height i raises what ``apply_*`` raises at the
+    # first failing height: a given point's error as ``Point`` raises it,
+    # the first in order, or a step's. A 0-d mask, from checks on constants
+    # alone, fails at every height and gives i = 0.
     i = int(run.ok.argmin())
-    program.run(FLOATS, [tuple(float(c[i] if c.ndim else c) for c in point) for point in initial])
+    program.replay([Point(*(c[i] if c.ndim else c for c in point), label) for label, point in zip(given, initial)])
     raise AssertionError(f"height {i} failed a batched check but passes the scalar construction")

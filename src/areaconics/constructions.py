@@ -37,7 +37,6 @@ from .kernel import (
     _line_through,
     _midpoint,
     _perpendicular,
-    _point,
     distance,
 )
 
@@ -292,8 +291,13 @@ class _Program(NamedTuple):
     ops: tuple[tuple[Callable[..., Any], ConstructionStep, Callable[[list[Any]], Any]], ...]
 
     def run(self, ns: Any, initial: list[Any]) -> list[Any]:
-        """Every slot's value, from the initial points' (x, y), which it checks."""
-        env = [_point(ns, x, y) for x, y in initial]
+        """Every slot's value, from the initial points' (x, y).
+
+        The caller has checked the initial points: ``replay`` takes
+        ``Point``s, and ``_batched.execute_batched`` checks its given
+        columns. Each step checks the points it makes.
+        """
+        env = list(initial)
         for fn, step, inputs in self.ops:
             env.append(fn(ns, step, *inputs(env)))
         return env
@@ -317,7 +321,7 @@ def _compile(
     With ``reads``, the labels whose values or checks the caller needs,
     one backward pass first drops every step that none of them depends
     on; the program's ``source`` then holds the steps kept. Every given
-    point stays, and is checked.
+    point stays.
     """
     if reads is not None:
         needed, kept = set(reads), []

@@ -11,10 +11,24 @@ Each primitive is written once, over a numeric namespace ``ns``.
 ``FLOATS`` runs them on float coordinates; ``_batched.ARRAYS`` runs them
 on numpy arrays with one entry per height, bit for bit equal to the float
 run at each height. A point is its (x, y), a circle (center, radius) and a
-line (anchor, (ux, uy)) with a unit direction. ``ns.check(ok, error,
-message, *values)`` fails where ``ok`` is false: over floats it raises
-``error(message.format(*values))``; over arrays it only records where a
-height failed, and the run goes on (see ``_batched.execute_batched``).
+line (anchor, (ux, uy)) with a unit direction.
+
+A namespace provides these methods; the primitives use nothing else of it:
+
+- ``sqrt(x)``, ``hypot(x, y)``, ``isfinite(x)``, ``maximum(a, b)``,
+  ``where(condition, a, b)`` and ``not_(mask)``, elementwise;
+- ``check(ok, error, message, *values)``, which fails where ``ok`` is
+  false: over floats it raises ``error(message.format(*values))``; over
+  arrays it only records where a height failed, and the run goes on (see
+  ``_batched.execute_batched``);
+- ``check_finite(x, y, skip=False)``, a point's finite check: it fails,
+  as ``check`` does with ``Point``'s ``ValueError``, where x or y is not
+  finite and ``skip`` does not hold.
+
+Its numbers support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``abs`` and
+the comparisons ``<``, ``<=``, ``>``, ``==`` and ``!=``, which give masks;
+its masks support ``&`` and ``|``, and ``not_``. A Python float and bool
+are numbers and masks of ``FLOATS``.
 
 All functions are pure and the value types are frozen, so instances can
 be shared freely between threads.
@@ -126,7 +140,7 @@ class Point(_Value):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        _point(FLOATS, self.x, self.y)
+        _check_finite(self.x, self.y)
         label = self.label
         if label is not None:
             if not isinstance(label, str):
@@ -174,6 +188,14 @@ def _raise_unless(ok: bool, error: type[Exception], message: str, *values: Any) 
         raise error(message.format(*values))
 
 
+_NOT_FINITE = "point coordinates must be finite, got ({}, {})"
+
+
+def _check_finite(x: float, y: float, skip: bool = False) -> None:
+    if not (skip or math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(_NOT_FINITE.format(x, y))
+
+
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     hypot=math.hypot,
@@ -182,13 +204,13 @@ FLOATS = SimpleNamespace(
     where=lambda condition, a, b: a if condition else b,
     not_=operator.not_,
     check=_raise_unless,
+    check_finite=_check_finite,
 )
 
 
 def _point(ns: Any, x: Any, y: Any, skip: Any = False) -> tuple[Any, Any]:
     """``Point``'s finite check, except where ``skip`` holds."""
-    finite = ns.isfinite(x) & ns.isfinite(y)
-    ns.check(finite | skip, ValueError, "point coordinates must be finite, got ({}, {})", x, y)
+    ns.check_finite(x, y, skip)
     return x, y
 
 

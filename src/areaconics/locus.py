@@ -321,7 +321,7 @@ class ConicSpec(_Value):
     Vertices are the curve's points on the height axis. ``family`` is the
     validated area family; it is left out of ``==``, ``hash`` and ``repr``.
     Invalid parameters raise LocusError, and so does an L/lam past the
-    float range.
+    float range or an L/(2*lam) that underflows to 0.
     """
 
     __match_args__ = ("kind", "base_L", "lam")
@@ -351,6 +351,11 @@ class ConicSpec(_Value):
             root_lam = math.sqrt(lam)
             semi_axis_x = base_L / (2.0 * root_lam)
             semi_axis_y = base_L / (2.0 * lam)
+            # L/(2*lambda) rounds to 0 wherever another closed form does:
+            # L/lambda is twice it, and L/(2*sqrt(lambda)) is at least it for
+            # lambda >= 1 and above L/2 for lambda < 1.
+            if semi_axis_y == 0.0:
+                raise LocusError(f"L/(2*lambda) for L = {base_L}, lambda = {lam} underflows the float range")
             if kind is ConicKind.ELLIPSE:
                 center = Point(0.0, semi_axis_y)
                 vertices += (Point(0.0, span),)

@@ -479,3 +479,50 @@ def test_array_hypot_is_np_hypot_bit_for_bit(rows):
 def test_array_hypot_takes_scalars_and_keeps_an_infinite_component():
     assert ARRAYS.hypot(np.float64(-0.0), np.float64(-3.5)) == 3.5
     assert ARRAYS.hypot(np.array([math.inf, 3.0]), np.array([math.nan, 4.0])).tolist() == [math.inf, 5.0]
+
+
+@pytest.mark.parametrize("program", ["full", "sweep"])
+@pytest.mark.parametrize(
+    "kind, lam, heights, i, message",
+    [
+        (ApplicationKind.EXACT, None, [0.5, 1.0, math.inf, 1.5], 2, "(2.0, inf)"),
+        (ApplicationKind.EXACT, None, [0.5, math.nan, 1.5], 1, "(2.0, nan)"),
+        (ApplicationKind.EXCESS, 0.5, [0.5, 1.0, math.inf, 1.5], 2, "(2.0, inf)"),
+        (ApplicationKind.EXCESS, 0.5, [0.5, math.nan, 1.5], 1, "(2.0, nan)"),
+        # The height is finite and the applied base b = L + lambda*y overflows.
+        (ApplicationKind.EXCESS, 1e8, [0.5, 1e301, 1.5], 1, "(inf, 0.0)"),
+    ],
+)
+def test_a_shared_given_column_fails_with_the_first_given_point_of_the_float_replay(
+    program, kind, lam, heights, i, message
+):
+    family = AreaFamily(kind, 2.0, lam)
+    heights = np.array(heights)
+    with np.errstate(all="ignore"):
+        given = _given_coordinates(family, heights)
+    # C, D and the applied corner C± hold the very same heights array, and
+    # B± and C± the same base b.
+    corner = "C" + family.corner_suffix
+    assert given["C"][1] is heights and given["D"][1] is heights and given[corner][1] is heights
+    assert given["B" + family.corner_suffix][0] is given[corner][0]
+    # The float replay of row i: its given points, built in order as ``Point``s, then the steps.
+    with pytest.raises(ValueError) as expected:
+        row = _given_coordinates(family, float(heights[i]))
+        _PROGRAMS[kind].replay(tuple(Point(x, y, label) for label, (x, y) in row.items()))
+    assert str(expected.value) == f"point coordinates must be finite, got {message}"
+    compiled = _PROGRAMS[kind] if program == "full" else SWEEP_PROGRAMS[kind]
+    with pytest.raises(ValueError) as caught:
+        execute_batched(compiled, given)
+    assert_same_error(caught.value, expected.value)
+
+
+def test_a_given_point_that_no_step_reads_is_still_checked():
+    # Z feeds no step, so only the given columns' check sees its infinite row 1.
+    given = {"A": (0.0, 0.0), "B": (np.array([2.0, 4.0]), 0.0), "Z": (np.array([1.0, math.inf]), 0.0)}
+    steps = (step(StepOp.BISECT, ("A", "B"), "M"),)
+    with pytest.raises(ValueError) as expected:
+        replay_trace(ConstructionTrace((Point(0.0, 0.0, "A"), Point(4.0, 0.0, "B"), Point(math.inf, 0.0, "Z")), steps))
+    with pytest.raises(ValueError) as caught:
+        execute_batched(_compile(tuple(given), steps), given)
+    assert_same_error(caught.value, expected.value)
+    assert str(caught.value) == "point coordinates must be finite, got (inf, 0.0)"

@@ -382,6 +382,16 @@ def test_solve_overflow(capsys):
     assert "overflows the float range" in capsys.readouterr().err
 
 
+def test_params_exits_1_where_a_semi_axis_underflows(capsys):
+    for kind in ("ellipse", "hyperbola"):
+        assert run(["params", "--kind", kind, "--base", "1e-300", "--lambda", "1e300"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().endswith(
+            "error: L/(2*lambda) for L = 1e-300, lambda = 1e+300 underflows the float range"
+        )
+
+
 BASE_NOT_FINITE = "base length must be positive and finite, got inf"
 RATIO_NOT_FINITE = "aspect ratio must be positive and finite, got inf"
 

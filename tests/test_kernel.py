@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from areaconics import kernel
 from areaconics._batched import _Run, execute_batched
 from areaconics.constructions import ConstructionStep, StepOp, _compile
 from areaconics.kernel import (
     _EPS_ABS,
     _EPS_REL,
+    FLOATS,
     Circle,
     DegenerateRayError,
     Line,
@@ -252,3 +254,50 @@ def test_a_secant_whose_squares_overflow_fails_on_its_nan_points():
     # Row 0 alone runs: the secant through (+-sqrt(3), 1), highest by (y, x).
     env = execute_batched(program, {label: (x[:1], y[:1]) for label, (x, y) in given.items()})
     assert (env["X"][0][0], env["X"][1][0]) == (math.sqrt(3.0), 1.0)
+
+
+# The methods that ``kernel``'s docstring says a namespace provides.
+NAMESPACE_METHODS = ("sqrt", "hypot", "isfinite", "maximum", "where", "not_", "check", "check_finite")
+
+
+@pytest.mark.parametrize("ns", [FLOATS, _Run()], ids=["FLOATS", "_Run"])
+def test_a_namespace_provides_every_method_the_kernel_names(ns):
+    for name in NAMESPACE_METHODS:
+        assert f"``{name}(" in kernel.__doc__, name
+        assert callable(getattr(ns, name)), name
+
+
+def test_the_float_finite_check_raises_points_error_unless_skipped():
+    for x, y in ((math.inf, 0.0), (0.0, math.nan), (-math.inf, math.inf)):
+        with pytest.raises(ValueError) as caught:
+            FLOATS.check_finite(x, y)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"point coordinates must be finite, got ({x}, {y})"
+        with pytest.raises(ValueError) as built:
+            Point(x, y)
+        assert str(built.value) == str(caught.value)
+        FLOATS.check_finite(x, y, True)
+    FLOATS.check_finite(5e-324, -1e308)
+
+
+def test_a_run_folds_each_finite_check_into_its_mask():
+    run = _Run()
+    run.check_finite(np.array([1.0, math.inf, 2.0, math.nan]), np.float64(0.0))
+    assert run.ok.tolist() == [True, False, True, False]
+    # A skip mask passes the rows it holds.
+    run = _Run()
+    run.check_finite(np.array([math.inf, math.inf, 1.0]), np.float64(0.0), np.array([True, False, False]))
+    assert run.ok.tolist() == [True, False, True]
+
+
+def test_a_run_folds_a_check_on_constants_alone_in_python():
+    run = _Run()
+    run.check(np.True_, ValueError, "")
+    assert run.ok is np.True_
+    run.check(np.array([True, False]), ValueError, "")
+    mask = run.ok
+    run.check(np.True_, ValueError, "")
+    assert run.ok is mask
+    # A failing 0-d mask fails every height.
+    run.check_finite(np.float64(math.inf), np.float64(0.0))
+    assert run.ok is np.False_

@@ -5,7 +5,7 @@ from collections.abc import Sequence
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from areaconics.constructions import (
@@ -252,6 +252,28 @@ def test_conic_params_past_the_float_range():
             conic_params(kind, 1e300, 1e-300)
 
 
+@pytest.mark.parametrize("kind", [ConicKind.ELLIPSE, ConicKind.HYPERBOLA])
+@pytest.mark.parametrize(
+    "base, lam, message",
+    [
+        # L/lambda = 1e-600, and so both semi-axes, round to 0.
+        (1e-300, 1e300, r"^L/\(2\*lambda\) for L = 1e-300, lambda = 1e\+300 underflows the float range$"),
+        # L/lambda is the smallest subnormal, and half of it rounds to 0.
+        (5e-324, 1.0, r"^L/\(2\*lambda\) for L = 5e-324, lambda = 1.0 underflows the float range$"),
+    ],
+)
+def test_conic_params_below_the_float_range(kind, base, lam, message):
+    # A semi-axis of 0 would put both vertices at the origin.
+    with pytest.raises(LocusError, match=message):
+        conic_params(kind, base, lam)
+
+
+def test_the_smallest_semi_axes_that_a_float_holds_are_returned():
+    spec = conic_params(ConicKind.ELLIPSE, 1e-323, 1.0)
+    assert (spec.semi_axis_x, spec.semi_axis_y) == (5e-324, 5e-324)
+    assert [(v.x, v.y) for v in spec.vertices] == [(0.0, 0.0), (0.0, 1e-323)]
+
+
 # Valid magnitudes, and values that no base or aspect ratio may take.
 _INVALID = [0.0, -1.0, math.inf, math.nan]
 _BASE = st.one_of(st.floats(1e-300, 1e300), st.sampled_from(_INVALID))
@@ -259,6 +281,8 @@ _RATIO = st.one_of(st.floats(1e-300, 1e300), st.sampled_from([None, *_INVALID]))
 
 
 @given(kind=st.sampled_from(ConicKind), base=_BASE, lam=_RATIO)
+# The smallest base, whose half rounds to 0, under a lambda < 1.
+@example(kind=ConicKind.ELLIPSE, base=5e-324, lam=1.0 - 2.0**-53)
 def test_a_conic_spec_holds_its_invariants_by_construction(kind, base, lam):
     valid = 0.0 < base < math.inf and (
         lam is None if kind is ConicKind.PARABOLA else lam is not None and 0.0 < lam < math.inf
@@ -271,6 +295,10 @@ def test_a_conic_spec_holds_its_invariants_by_construction(kind, base, lam):
         with pytest.raises(LocusError, match="overflows the float range"):
             ConicSpec(kind, base, lam)
         return
+    if lam is not None and base / (2.0 * lam) == 0.0:
+        with pytest.raises(LocusError, match="underflows the float range"):
+            ConicSpec(kind, base, lam)
+        return
     spec = ConicSpec(kind, base, lam)
     assert spec == conic_params(kind, base, lam)
     e = spec.eccentricity
@@ -280,6 +308,8 @@ def test_a_conic_spec_holds_its_invariants_by_construction(kind, base, lam):
         assert e >= 1.0
     else:
         assert e is None
+    if lam is not None:
+        assert spec.semi_axis_x > 0.0 and spec.semi_axis_y > 0.0
     is_hyperbola = kind is ConicKind.HYPERBOLA
     assert (spec.asymptote_slopes is not None) is is_hyperbola
     assert (spec.conjugate_axis_y is not None) is is_hyperbola
