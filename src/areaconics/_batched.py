@@ -4,10 +4,10 @@ A sweep runs the same straight-line step program at every height; only
 the given points change. Here each labelled point holds one numpy array
 per coordinate, with one entry per height, and a compiled program (in a
 sweep, the kind's program pruned to what the sweep reads,
-``SWEEP_PROGRAMS``) runs each step once over all of them, through the
-kernel's primitives over the numpy namespace ``ARRAYS`` (with a run's own
-checks, ``_Run``). So every entry equals, bit for bit, what the float
-run computes for that height alone.
+``constructions._SWEEP_PROGRAMS``) runs each step once over all of them,
+through the kernel's primitives over the numpy namespace ``ARRAYS`` (with
+a run's own checks, ``_Run``). So every entry equals, bit for bit, what
+the float run computes for that height alone.
 
 A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
 the base corners' zero y) stays a numpy scalar, so an operation between
@@ -32,8 +32,7 @@ component is zero in every row (a 0-d zero or an all-zero array), and
 ``np.hypot`` keeps; only a failing height's values can hold a nan.
 
 Only ``locus.sample_locus`` imports this module, at its first call, so
-the pruned programs are built then, off the import of every verb that
-does not sweep.
+numpy stays off the import of every verb and sweep that does not run it.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from typing import Any
 
 import numpy as np
 
-from .constructions import _PROGRAMS, _compile, _Program
+from .constructions import _Program
 from .kernel import _NOT_FINITE, Point
 
 
@@ -65,12 +64,6 @@ ARRAYS = SimpleNamespace(
     where=np.where,
     not_=np.logical_not,
 )
-
-
-# Each kind's program pruned to the labels a sweep reads: G, whose |AG| is
-# a locus point's x, and I, whose check fails a height where G snapped to
-# the tangent foot A (see ``locus.sample_locus``).
-SWEEP_PROGRAMS = {kind: _compile(*program.source, reads=("G", "I")) for kind, program in _PROGRAMS.items()}
 
 
 class _Run(SimpleNamespace):

@@ -19,6 +19,7 @@ from .locus import (
     ConicKind,
     SampleRange,
     _family,
+    _sample_locus_floats,
     conic_params,
     max_applicable_area,
     read_locus_csv,
@@ -35,6 +36,15 @@ _EXIT_VERIFY_FAILED = 2
 
 # Fraction of the natural height scale used when no --y-min/--y-max is given.
 _DEFAULT_SPAN = (0.05, 0.95)
+
+# The most heights ``locus`` sweeps over floats; above it, ``sample_locus``
+# sweeps over numpy arrays, to the same points. Importing numpy costs a cold
+# process 140-200 ms, and the float sweep ~18 µs per height more than the
+# batched one, so a cold call costs the same either way at 8,000-9,000
+# heights (Python 3.11, numpy 2.4, shared 2-vCPU VM; BENCH_18.json). The
+# cutoff sits below that, where the float sweep still wins at the import's
+# lowest cost.
+_FLOAT_SWEEP_MAX = 6000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -166,8 +176,9 @@ def _cmd_locus(args: argparse.Namespace) -> int:
             )
     else:
         y_min, y_max = args.y_min, args.y_max
-    points = sample_locus(kind, args.base, SampleRange(y_min, y_max, args.samples), args.lam)
-    write_locus_csv(points, args.out)
+    sample_range = SampleRange(y_min, y_max, args.samples)
+    sweep = _sample_locus_floats if sample_range.n <= _FLOAT_SWEEP_MAX else sample_locus
+    write_locus_csv(sweep(kind, args.base, sample_range, args.lam), args.out)
     return _EXIT_OK
 
 

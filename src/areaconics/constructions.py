@@ -294,8 +294,9 @@ class _Program(NamedTuple):
         """Every slot's value, from the initial points' (x, y).
 
         The caller has checked the initial points: ``replay`` takes
-        ``Point``s, and ``_batched.execute_batched`` checks its given
-        columns. Each step checks the points it makes.
+        ``Point``s, ``_batched.execute_batched`` checks its given columns,
+        and ``locus._sweep_floats`` each height's given points. Each step
+        checks the points it makes.
         """
         env = list(initial)
         for fn, step, inputs in self.ops:
@@ -312,7 +313,7 @@ class _Program(NamedTuple):
 # Compiles afresh on every call. The three kinds' programs are compiled once,
 # into ``_PROGRAMS``, which serves applications and the replay of an
 # application's trace; ``replay_trace`` compiles only any other trace, and
-# ``_batched.SWEEP_PROGRAMS`` holds each kind's program pruned for a sweep.
+# ``_SWEEP_PROGRAMS`` holds each kind's program pruned for a sweep.
 def _compile(
     labels: tuple[str, ...], steps: tuple[ConstructionStep, ...], reads: tuple[str, ...] | None = None
 ) -> _Program:
@@ -573,6 +574,11 @@ _PROGRAMS = {
         AreaFamily(ApplicationKind.EXCESS, 1.0, 1.0),
     )
 }
+# Each kind's program pruned to the labels a sweep reads: G, whose |AG| is a
+# locus point's x, and I, whose check fails a height where G snapped to the
+# tangent foot A (see ``locus.sample_locus``). Both sweeps, over floats and
+# over numpy arrays, run these.
+_SWEEP_PROGRAMS = {kind: _compile(*program.source, reads=("G", "I")) for kind, program in _PROGRAMS.items()}
 
 
 def _run_application(spec: ApplicationSpec) -> ApplicationResult:

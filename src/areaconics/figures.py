@@ -26,6 +26,8 @@ from .locus import (
     ConicSpec,
     LocusPoint,
     SampleRange,
+    _sample_locus_floats,
+    _sweep_floats,
     conic_params,
     mirror,
 )
@@ -436,14 +438,10 @@ def standard_figure(n: int) -> str:
         return render_svg(scene_from_application(_run_application(spec)))
     conic = ConicKind(kind)
     if "height" in params:
-        heights = [params["height"]]
+        # One height, which the application's spec checks.
+        spec = ApplicationSpec(_APPLICATION_KIND[conic], base, params["height"], lam)
+        points = _sweep_floats(spec.family, [spec.height_y])
     else:
-        heights = SampleRange(params["y_min"], params["y_max"], params["samples"]).heights()
-    # One application per height, each the point a sweep takes there.
-    specs = [ApplicationSpec(_APPLICATION_KIND[conic], base, y, lam) for y in heights]
-    points = [LocusPoint(_run_application(spec).square_side_g, spec.height_y, Branch.UPPER) for spec in specs]
-    family = specs[0].family
-    if family.k > 0.0:
-        # The lower branch, in ascending y as a sweep returns it.
-        points += [LocusPoint(p.x, family.reflect(p.y), Branch.LOWER) for p in reversed(points)]
+        sample_range = SampleRange(params["y_min"], params["y_max"], params["samples"])
+        points = _sample_locus_floats(conic, base, sample_range, lam)
     return render_svg(scene_from_locus(mirror(points), conic_params(conic, base, lam)))

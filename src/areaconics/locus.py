@@ -15,8 +15,10 @@ than an assumption. ``fit_conic_oracle`` is an independent least-squares
 cross check on sampled points. A sweep returns its points as columns,
 a ``LocusSamples``, which ``verify_residuals`` checks on the columns
 directly; every other function loops over the points. Only the code that
-sweeps, fits or reads the columns imports numpy, at its first call, so
-code that does none of these (most CLI verbs) never loads it.
+sweeps over arrays, fits or reads the columns imports numpy, at its first
+call. ``_sample_locus_floats`` sweeps over floats, one height at a time,
+to the same points as a list, so code that needs few heights (the CLI up
+to a cutoff, the figures) never loads it.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path as FilePath
 from typing import Any
 
 from .constructions import (
+    _SWEEP_PROGRAMS,
     ApplicationKind,
     ApplicationSpec,
     AreaFamily,
@@ -38,7 +41,7 @@ from .constructions import (
     _in_decimal,
     _max_area,
 )
-from .kernel import Point, _bind, _distance, _Value
+from .kernel import FLOATS, Point, _bind, _distance, _Value
 
 __all__ = [
     "Branch",
@@ -214,6 +217,29 @@ def _family(kind: ConicKind, base_L: float, lam: float | None) -> AreaFamily:
         raise LocusError(str(exc)) from exc
 
 
+def _sweep_family(kind: ConicKind, base_L: float, sample_range: SampleRange, lam: float | None) -> AreaFamily:
+    """The area family of a sweep over ``sample_range``, whose application is valid at every height.
+
+    The heights ascend from y_min > 0 to y_max, inside the bounds checked
+    here, so the application's checks pass at every height if they pass at
+    the first (an infinite y_max makes the first height NaN, which the spec
+    rejects). Both sweeps, ``sample_locus`` and ``_sample_locus_floats``,
+    check their heights here.
+    """
+    family = _family(kind, base_L, lam)
+    if sample_range.y_min <= 0.0:
+        raise LocusError("sample heights must be positive: the applied rectangle vanishes at y = 0")
+    # Only the ellipse's applied base b = L - lam*y shrinks to nothing, at y = L/lam.
+    if not (family.rect_base(sample_range.y_max) > 0.0):
+        raise LocusError(
+            f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
+            "the deficiency would consume the whole base"
+        )
+    first = _grid_height(sample_range.y_min, sample_range._step(), 0)
+    ApplicationSpec(family.kind, family.base_L, first, family.lam)
+    return family
+
+
 def sample_locus(
     kind: ConicKind,
     base_L: float,
@@ -234,8 +260,8 @@ def sample_locus(
     ``LocusSamples``.
 
     The sweep runs its kind's program pruned to G and I
-    (``_batched.SWEEP_PROGRAMS``): E, F, EGB, AG_line, G and I, 6 of the
-    12 steps. I stays for its check: where the kernel snaps G to the
+    (``constructions._SWEEP_PROGRAMS``): E, F, EGB, AG_line, G and I, 6 of
+    the 12 steps. I stays for its check: where the kernel snaps G to the
     tangent foot A, |AG| = 0 and only I's "extension distance must be
     positive" fails the height, which would otherwise return x = 0. The
     six steps dropped (FG, IH_line, I_side, H, I_height, J) cannot fail
@@ -257,30 +283,15 @@ def sample_locus(
     """
     import numpy as np
 
-    from ._batched import ARRAYS, SWEEP_PROGRAMS, execute_batched
+    from ._batched import ARRAYS, execute_batched
 
-    family = _family(kind, base_L, lam)
-    if sample_range.y_min <= 0.0:
-        raise LocusError("sample heights must be positive: the applied rectangle vanishes at y = 0")
-    # Only the ellipse's applied base b = L - lam*y shrinks to nothing, at y = L/lam.
-    if not (family.rect_base(sample_range.y_max) > 0.0):
-        raise LocusError(
-            f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
-            "the deficiency would consume the whole base"
-        )
-    # Silent, as in floats: at an infinite y_max, 0*inf is nan.
-    with np.errstate(all="ignore"):
-        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(sample_range.n))
-    heights[-1] = sample_range.y_max
-    # The heights ascend from y_min > 0 to y_max, inside the bounds checked
-    # above, so the application's checks pass at every height if they pass
-    # at the first (an infinite y_max makes the first height NaN, which the
-    # spec rejects).
-    ApplicationSpec(family.kind, family.base_L, float(heights[0]), family.lam)
-    program = SWEEP_PROGRAMS[family.kind]
-    sides = np.empty_like(heights)
+    family = _sweep_family(kind, base_L, sample_range, lam)
+    program = _SWEEP_PROGRAMS[family.kind]
     # Silent, as in floats: the applied base L + k*y may overflow.
     with np.errstate(all="ignore"):
+        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(sample_range.n))
+        heights[-1] = sample_range.y_max
+        sides = np.empty_like(heights)
         for start in range(0, len(heights), _BLOCK):
             env = execute_batched(program, _given_coordinates(family, heights[start : start + _BLOCK]))
             sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
@@ -297,6 +308,42 @@ def sample_locus(
         np.concatenate((heights, reflected[order])),
         np.concatenate((upper, ~upper)),
     )
+
+
+def _sample_locus_floats(
+    kind: ConicKind, base_L: float, sample_range: SampleRange, lam: float | None = None
+) -> list[LocusPoint]:
+    """``sample_locus`` one height at a time over floats: its points as a list, without numpy."""
+    return _sweep_floats(_sweep_family(kind, base_L, sample_range, lam), sample_range.heights())
+
+
+def _sweep_floats(family: AreaFamily, heights: Sequence[float]) -> list[LocusPoint]:
+    """The points of a sweep over ``heights``, one float run of the pruned program each.
+
+    The heights ascend, and each passes ``ApplicationSpec``'s checks (see
+    ``_sweep_family``). A float run at a height computes, bit for bit, what
+    the batched run computes there, and the lower branch is sorted as
+    ``sample_locus`` sorts it, so the points are ``sample_locus``'s, in its
+    order. Where a construction fails, the sweep raises what ``apply_*``
+    raises at the first failing height: its first given point that is not
+    finite, as ``Point`` checks it, or its first failing step.
+    """
+    program = _SWEEP_PROGRAMS[family.kind]
+    a, g = program.labels.index("A"), program.labels.index("G")
+    check_finite, run = FLOATS.check_finite, program.run
+    upper = []
+    for y in heights:
+        given = list(_given_coordinates(family, y).values())
+        for point in given:
+            check_finite(*point)
+        env = run(FLOATS, given)
+        upper.append(LocusPoint(_distance(FLOATS, env[a], env[g]), y))
+    if family.k <= 0.0:
+        return upper
+    # Python's sort is stable, as ``sample_locus``'s argsort is.
+    reflected = [family.reflect(y) for y in heights]
+    order = sorted(range(len(reflected)), key=reflected.__getitem__)
+    return upper + [LocusPoint(upper[i].x, reflected[i], Branch.LOWER) for i in order]
 
 
 def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:

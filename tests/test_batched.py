@@ -12,10 +12,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from areaconics import constructions
-from areaconics._batched import ARRAYS, SWEEP_PROGRAMS, execute_batched
+from areaconics._batched import ARRAYS, execute_batched
 from areaconics.constructions import (
     _PROGRAMS,
     _STEPS,
+    _SWEEP_PROGRAMS as SWEEP_PROGRAMS,
     ApplicationKind,
     AreaFamily,
     ConstructionStep,
@@ -30,7 +31,16 @@ from areaconics.constructions import (
     replay_trace,
 )
 from areaconics.kernel import FLOATS, GeometryError, Point
-from areaconics.locus import _APPLICATION_KIND, _BLOCK, ConicKind, SampleRange, sample_locus
+from areaconics.locus import (
+    _APPLICATION_KIND,
+    _BLOCK,
+    Branch,
+    ConicKind,
+    LocusPoint,
+    SampleRange,
+    _sample_locus_floats,
+    sample_locus,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -152,6 +162,56 @@ def test_sample_locus_raises_the_first_failing_applications_error(kind, base, la
     with pytest.raises(ValueError) as caught:
         sample_locus(kind, base, sample_range, lam)
     assert_same_error(caught.value, expected.value)
+
+
+def sweep_or_error(sweep, kind, base, sample_range, lam):
+    """The sweep's points as (x bits, y bits, branch), or the class and message of its error."""
+    try:
+        points = sweep(kind, base, sample_range, lam)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return [(*bits(p.x, p.y), p.branch) for p in points]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sweeps(), st.integers(2, 200))
+def test_the_float_sweep_equals_sample_locus(case, n):
+    kind, base, lam, sample_range = case
+    sample_range = SampleRange(sample_range.y_min, sample_range.y_max, n)
+    expected = sweep_or_error(sample_locus, kind, base, sample_range, lam)
+    assert sweep_or_error(_sample_locus_floats, kind, base, sample_range, lam) == expected
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, sample_range",
+    [
+        # G snaps to the tangent foot A at the low heights.
+        (ConicKind.PARABOLA, 1e-6, None, SampleRange(1e-8, 1.9e-6, 200)),
+        (ConicKind.HYPERBOLA, 1.0, 1.0, SampleRange(0.5, math.inf, 4)),
+        (ConicKind.ELLIPSE, 2.0, 1.0, SampleRange(0.5, 3.0, 6)),
+        # The applied base overflows at the first height: the given point
+        # B⁺ = (inf, 0) is not finite.
+        (ConicKind.HYPERBOLA, 1.0, 1e308, SampleRange(2.0, 3.0, 2)),
+    ],
+)
+def test_the_float_sweep_fails_as_sample_locus_fails(kind, base, lam, sample_range):
+    expected = sweep_or_error(sample_locus, kind, base, sample_range, lam)
+    assert isinstance(expected, tuple)
+    assert sweep_or_error(_sample_locus_floats, kind, base, sample_range, lam) == expected
+
+
+def test_the_float_sweeps_lower_branch_keeps_tied_heights_in_ascending_x():
+    # -L/lam - y rounds to only 2 distinct floats over these 12 heights, so
+    # a reversal of the upper block would flip x among tied heights.
+    sample_range = SampleRange(0.1, 0.100001, 12)
+    points = _sample_locus_floats(ConicKind.HYPERBOLA, 2.0, sample_range, 1e-10)
+    assert points == list(sample_locus(ConicKind.HYPERBOLA, 2.0, sample_range, 1e-10))
+    upper, lower = points[:12], points[12:]
+    reflected = [-2.0 / 1e-10 - p.y for p in upper]
+    order = sorted(range(12), key=reflected.__getitem__)
+    assert lower == [LocusPoint(upper[i].x, reflected[i], Branch.LOWER) for i in order]
+    reversal = [LocusPoint(p.x, r, Branch.LOWER) for p, r in zip(upper[::-1], reflected[::-1])]
+    assert sum(a != b for a, b in zip(lower, reversal)) == 10
 
 
 @pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)])

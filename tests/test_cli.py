@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from areaconics import cli
 from areaconics.cli import run
 from areaconics.constructions import ConstructionTrace, replay_trace
 from areaconics.locus import (
@@ -102,6 +103,21 @@ def test_locus_verify_round_trip(tmp_path, capsys, kind, extra):
     assert code == 0
     report = json.loads(out.strip().splitlines()[-1])
     assert report["passed"] is True
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_locus_writes_sample_locus_csv_on_each_side_of_the_float_sweep_cutoff(tmp_path, monkeypatch, above):
+    n = cli._FLOAT_SWEEP_MAX + above
+    ran = []
+    for name in ("sample_locus", "_sample_locus_floats"):
+        sweep = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *args, sweep=sweep, name=name: ran.append(name) or sweep(*args))
+    csv_path = tmp_path / "cli.csv"
+    argv = ["locus", "--kind", "hyperbola", "--base", "2", "--lambda", "0.5", "--y-min", "0.2", "--y-max", "1.6"]
+    assert run([*argv, "--samples", str(n), "--out", str(csv_path)]) == 0
+    assert ran == ["sample_locus" if above else "_sample_locus_floats"]
+    write_locus_csv(sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.2, 1.6, n), 0.5), tmp_path / "api.csv")
+    assert csv_path.read_bytes() == (tmp_path / "api.csv").read_bytes()
 
 
 def test_locus_default_range(tmp_path):
@@ -347,9 +363,17 @@ def test_verbs_that_neither_sweep_nor_fit_never_load_numpy(tmp_path):
     assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(verbs))) == []
 
 
+def test_locus_up_to_the_float_sweep_cutoff_never_loads_numpy(tmp_path):
+    csv_path = str(tmp_path / "locus.csv")
+    kinds = [["parabola"], ["ellipse", "--lambda", "0.5"], ["hyperbola", "--lambda", "0.5"]]
+    locus = [["locus", "--kind", *kind, "--base", "2", "--samples", "300", "--out", csv_path] for kind in kinds]
+    assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(locus))) == []
+
+
 def test_sweeps_and_fits_load_numpy_on_first_use(tmp_path):
     csv_path = str(tmp_path / "locus.csv")
-    locus = [["locus", "--kind", "parabola", "--base", "2", "--samples", "5", "--out", csv_path]]
+    samples = str(cli._FLOAT_SWEEP_MAX + 1)
+    locus = [["locus", "--kind", "parabola", "--base", "2", "--samples", samples, "--out", csv_path]]
     assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(locus))) == [["locus", 0]]
     fit = (
         "import sys\n"

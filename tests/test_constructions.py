@@ -732,3 +732,12 @@ def test_a_large_scale_reaches_j():
 def test_a_large_height_to_base_ratio_is_constructed():
     # extension distance must be positive, got 0.0
     assert apply_exact(1, 5e9).J.y == 5e9
+
+
+# The same snap where the applied base dwarfs the height: the gap b*y falls
+# inside the band 1e-9*((b + y)/2)**2 once b/y passes ~4e9.
+@pytest.mark.xfail(strict=True, raises=GeometryError, reason=_ITEM_1 + "; G is taken at the foot A")
+@pytest.mark.parametrize("apply, args", [(apply_exact, (1e10, 0.5)), (apply_excess, (2.0, 4e9, 0.5))])
+def test_a_large_base_to_height_ratio_is_constructed(apply, args):
+    # extension distance must be positive, got 0.0
+    assert apply(*args).J.y == 0.5
