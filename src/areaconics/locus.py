@@ -13,12 +13,14 @@ closed forms live in ``ConicSpec`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
 cross check on sampled points. A sweep returns its points as columns,
-a ``LocusSamples``, which ``verify_residuals`` checks on the columns
-directly; every other function loops over the points. Only the code that
-sweeps over arrays, fits or reads the columns imports numpy, at its first
-call. ``_sample_locus_floats`` sweeps over floats, one height at a time,
-to the same points as a list, so code that needs few heights (the CLI up
-to a cutoff, the figures) never loads it.
+a ``LocusSamples``. Once numpy is loaded, ``verify_residuals`` checks any
+points on columns, ``_BLOCK`` at a time; a process that has not loaded it
+checks them one at a time over floats, and every other function loops
+over the points. Only the code that sweeps over arrays, fits or reads the
+columns imports numpy, at its first call. ``_sample_locus_floats`` sweeps
+over floats, one height at a time, to the same points as a list, so code
+that needs few heights (the CLI up to a cutoff, the figures) never loads
+it.
 """
 
 from __future__ import annotations
@@ -26,8 +28,10 @@ from __future__ import annotations
 import csv
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
+import sys
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from enum import Enum
+from itertools import islice
 from pathlib import Path as FilePath
 from typing import Any
 
@@ -65,10 +69,10 @@ __all__ = [
 ]
 
 
-# Heights per run of the batched step program: memory stays flat in n.
-# One run of 8,192 heights peaks at 2.0-2.2 MiB traced (tracemalloc, all
-# three kinds); what a run costs whatever its size, ~0.3-0.5 ms, is paid
-# once per block.
+# Heights per run of the batched step program, and points per block of
+# ``verify_residuals``'s columns: memory stays flat in n. One run of 8,192
+# heights peaks at 2.0-2.2 MiB traced (tracemalloc, all three kinds); what
+# a run costs whatever its size, ~0.3-0.5 ms, is paid once per block.
 _BLOCK = 8192
 
 
@@ -593,6 +597,85 @@ def _residual_forms(family: AreaFamily) -> Callable[[Any, Any, Any], tuple[Any, 
     return central
 
 
+def _worst_in_loop(points: Iterable[LocusPoint], family: AreaFamily) -> list[list[Any]]:
+    """The largest residuals and their points, one point at a time over floats.
+
+    Returns [max_residual, worst] of the vertex form and then of the
+    standard form, -1.0 and None for no points. A nan residual is the
+    largest: the worst point is the first nan, else the first maximum.
+    The reference for ``_worst_on_columns``.
+    """
+    residuals = _residual_forms(family)
+    # Residuals are >= 0 or nan, so -1 lets the first point in;
+    # ``not residual <= max`` records a nan, and a nan maximum
+    # (max != max) then keeps the first one.
+    max_residual = max_standard = -1.0
+    worst: LocusPoint | None = None
+    standard_worst: LocusPoint | None = None
+    lower_branch = Branch.LOWER
+    for p in points:
+        y = p.y
+        residual, standard = residuals(p.x, y, family.reflect(y) if p.branch is lower_branch else y)
+        if not residual <= max_residual and max_residual == max_residual:
+            max_residual = residual
+            worst = p
+        if not standard <= max_standard and max_standard == max_standard:
+            max_standard = standard
+            standard_worst = p
+    return [[max_residual, worst], [max_standard, standard_worst]]
+
+
+def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> list[list[Any]]:
+    """``_worst_in_loop``'s result, computed on columns one block at a time.
+
+    A block's ``argmax`` is its first nan, else its first maximum, and it
+    replaces the largest so far by the loop's own rule, so the result is
+    the loop's. Only the hyperbola reads the branches: ``reflect`` leaves
+    the other kinds' heights unchanged.
+    """
+    import numpy as np
+
+    residuals = _residual_forms(family)
+    branches = family.k > 0.0
+    found: list[list[Any]] = [[-1.0, None], [-1.0, None]]
+    for block, start, x, y, lower in _column_blocks(points, branches):
+        with np.errstate(all="ignore"):
+            forms = residuals(x, y, np.where(lower, family.reflect(y), y) if branches else y)
+        for largest, values in zip(found, forms):
+            i = int(values.argmax())
+            value = float(values[i])
+            if not value <= largest[0] and largest[0] == largest[0]:
+                largest[:] = value, block[start + i]
+    return found
+
+
+def _column_blocks(points: Iterable[LocusPoint], branches: bool) -> Iterator[tuple[Any, int, Any, Any, Any]]:
+    """The points as columns, ``_BLOCK`` at a time: (block, start, x, y, lower) for each block.
+
+    The block's i-th point is ``block[start + i]``. For a list or any other
+    iterable, ``block`` is a list of the caller's own objects, read one
+    block at a time, so memory stays flat in the number of points, and
+    ``start`` is 0. A ``LocusSamples`` yields itself and slices of its
+    columns. ``lower``, the lower-branch mask, is built from points only
+    if ``branches`` asks for it, and is None otherwise.
+    """
+    import numpy as np
+
+    if isinstance(points, LocusSamples):
+        for start in range(0, len(points), _BLOCK):
+            stop = start + _BLOCK
+            yield points, start, points.x[start:stop], points.y[start:stop], points.lower[start:stop]
+        return
+    lower_branch = Branch.LOWER
+    rest = iter(points)
+    while block := list(islice(rest, _BLOCK)):
+        n = len(block)
+        x = np.fromiter([p.x for p in block], float, n)
+        y = np.fromiter([p.y for p in block], float, n)
+        lower = np.fromiter([p.branch is lower_branch for p in block], bool, n) if branches else None
+        yield block, 0, x, y, lower
+
+
 def verify_residuals(
     points: Iterable[LocusPoint],
     kind: ConicKind,
@@ -603,43 +686,21 @@ def verify_residuals(
     """Check sampled points against the conic's equations; never raises on failure.
 
     ``tol`` must be finite and nonnegative: a nan or negative one would fail
-    exact points, an infinite one pass any. A ``LocusSamples`` is checked
-    on its columns, any other iterable point by point, to the same report.
+    exact points, an infinite one pass any. Once numpy is loaded, the
+    points are checked on columns, 8,192 at a time (``_worst_on_columns``);
+    a process that has not loaded numpy checks them one at a time over
+    floats (``_worst_in_loop``), so the CLI never loads it to verify. Both
+    give the same report. For a list or any other iterable the worst points
+    are the caller's own objects; for a ``LocusSamples`` they are built
+    from its columns.
     """
     family = _family(kind, base_L, lam)
     if not (0.0 <= tol < math.inf):
         raise LocusError(f"tolerance must be finite and nonnegative, got {tol}")
-    residuals = _residual_forms(family)
-    # A nan residual is the worst: the worst point is the first nan, else
-    # the first maximum.
-    max_residual = max_standard = -1.0
-    worst: LocusPoint | None = None
-    standard_worst: LocusPoint | None = None
-    if isinstance(points, LocusSamples):
-        import numpy as np
-
-        if len(points):
-            x, y = points.x, points.y
-            with np.errstate(all="ignore"):
-                residual, standard = residuals(x, y, np.where(points.lower, family.reflect(y), y))
-            # argmax returns the first nan if there is one.
-            i, j = int(residual.argmax()), int(standard.argmax())
-            max_residual, worst = float(residual[i]), points[i]
-            max_standard, standard_worst = float(standard[j]), points[j]
-    else:
-        # Residuals are >= 0 or nan, so -1 lets the first point in;
-        # ``not residual <= max`` records a nan, and a nan maximum
-        # (max != max) then keeps the first one.
-        lower_branch = Branch.LOWER
-        for p in points:
-            y = p.y
-            residual, standard = residuals(p.x, y, family.reflect(y) if p.branch is lower_branch else y)
-            if not residual <= max_residual and max_residual == max_residual:
-                max_residual = residual
-                worst = p
-            if not standard <= max_standard and max_standard == max_standard:
-                max_standard = standard
-                standard_worst = p
+    # Where numpy is loaded its import is paid. Elsewhere (the CLI) the
+    # import, ~150 ms, would cost more than the loop on any input checked.
+    find_worst = _worst_on_columns if "numpy" in sys.modules else _worst_in_loop
+    (max_residual, worst), (max_standard, standard_worst) = find_worst(points, family)
     if worst is None:  # no points
         max_residual = max_standard = 0.0
     return VerificationReport(
