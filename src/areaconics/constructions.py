@@ -196,7 +196,7 @@ class ConstructionTrace(_Value):
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
-            "initial": [{"label": p.label, "x": p.x, "y": p.y} for p in self.initial],
+            "initial": _initial_entries(self.initial),
             "steps": [
                 {
                     "op": s.op.value,
@@ -209,6 +209,17 @@ class ConstructionTrace(_Value):
         }
 
     def to_json(self, indent: int | None = None) -> str:
+        """The trace as JSON text: ``json.dumps(self.to_json_dict(), indent=indent)``.
+
+        The compact form of a trace that holds its kind's very step tuple
+        (an application's, or one ``from_json`` parsed) is that text byte
+        for byte, written from its given points and the kind's step text,
+        encoded once at import.
+        """
+        if indent is None:
+            for kind, steps in _STEPS.items():
+                if self.steps is steps:
+                    return _INITIAL_KEY + json.dumps(_initial_entries(self.initial)) + _STEP_TEXTS[kind]
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
@@ -216,10 +227,7 @@ class ConstructionTrace(_Value):
         if not isinstance(data, dict) or "initial" not in data or "steps" not in data:
             raise MalformedTraceError("trace document must have 'initial' and 'steps' keys")
         try:
-            initial = tuple(
-                Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
-                for entry in data["initial"]
-            )
+            initial = _initial_points(data["initial"])
             # An application's steps, recognised whole, are its kind's very
             # step objects, built and validated at import.
             for kind, written in _STEP_DOCUMENTS.items():
@@ -235,12 +243,50 @@ class ConstructionTrace(_Value):
         return cls(initial, steps)
 
     @classmethod
-    def from_json(cls, text: str) -> ConstructionTrace:
+    def from_json(cls, text: str | bytes | bytearray) -> ConstructionTrace:
+        """The trace a JSON text holds: ``from_json_dict(json.loads(text))``.
+
+        A text that is not JSON raises ``MalformedTraceError``. A ``str``
+        that starts with ``{"initial": `` and ends with one kind's step
+        text, as ``to_json()`` writes an application's trace, has only its
+        middle decoded. If that is one JSON value, the document is
+        ``{"initial": value, "steps": <the kind's steps>}``: its given
+        points are read as ``from_json_dict`` reads them, and the trace
+        holds the kind's step tuple. Any other text (``bytes`` included),
+        or a middle that does not decode, is decoded whole. Either way the
+        result, or the error, is the same.
+        """
+        if isinstance(text, str) and text.startswith(_INITIAL_KEY):
+            for kind, tail in _STEP_TEXTS.items():
+                if text.endswith(tail):
+                    try:
+                        value = json.loads(text[len(_INITIAL_KEY) : -len(tail)])
+                    except json.JSONDecodeError:
+                        break
+                    return cls(_initial_points(value), _STEPS[kind])
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"trace document is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
+
+
+def _initial_entries(points: Sequence[Point]) -> list[dict[str, Any]]:
+    """A trace's given points as its JSON document lists them."""
+    return [{"label": p.label, "x": p.x, "y": p.y} for p in points]
+
+
+def _initial_points(entries: Any) -> tuple[Point, ...]:
+    """The given points a trace document's ``initial`` value lists, each checked."""
+    try:
+        return tuple(
+            Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
+            for entry in entries
+        )
+    except MalformedTraceError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedTraceError(f"invalid trace document: {exc}") from exc
 
 
 def _coordinate(value: Any) -> float:
@@ -562,10 +608,15 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built, validated and compiled once, and its
-# steps as ``to_json_dict`` writes them, for ``from_json_dict`` to recognise.
+# The step program of each kind, built, validated and compiled once; its steps
+# as ``to_json_dict`` writes them, for ``from_json_dict`` to recognise; and
+# the end of its compact trace text, from ``"steps"`` on, encoded from that
+# list by the same encoder, for ``to_json`` to write and ``from_json`` to
+# recognise.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
 _STEP_DOCUMENTS = {kind: ConstructionTrace((), steps).to_json_dict()["steps"] for kind, steps in _STEPS.items()}
+_INITIAL_KEY = '{"initial": '
+_STEP_TEXTS = {kind: ', "steps": ' + json.dumps(written) + "}" for kind, written in _STEP_DOCUMENTS.items()}
 _PROGRAMS = {
     family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
     for family in (
