@@ -59,7 +59,6 @@ def _hypot(x: Any, y: Any) -> Any:
 ARRAYS = SimpleNamespace(
     sqrt=np.sqrt,
     hypot=_hypot,
-    isfinite=np.isfinite,
     maximum=np.maximum,
     where=np.where,
     not_=np.logical_not,
@@ -79,9 +78,8 @@ class _Run(SimpleNamespace):
         elif not ok:
             self.ok = np.False_
 
-    def check_finite(self, x: Any, y: Any, skip: Any = False) -> None:
-        finite = np.isfinite(x) & np.isfinite(y)
-        self.check(finite if skip is False else finite | skip, ValueError, _NOT_FINITE, x, y)
+    def check_finite(self, x: Any, y: Any) -> None:
+        self.check(np.isfinite(x) & np.isfinite(y), ValueError, _NOT_FINITE, x, y)
 
 
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:

@@ -258,8 +258,10 @@ def scene_from_locus(points: Sequence[LocusPoint], spec: ConicSpec) -> Scene:
         prims.append(StyledPrimitive(Segment(Point(p.x, foot), Point(p.x, top))))
     if spec.kind is ConicKind.HYPERBOLA:
         assert spec.conjugate_axis_y is not None and spec.asymptote_slopes is not None
-        box = _extent(tuple(prims))
         axis_y = spec.conjugate_axis_y
+        # The box reaches the axis, which one branch alone does not.
+        x0, y0, x1, y1 = _extent(tuple(prims))
+        box = (x0, min(y0, axis_y), x1, max(y1, axis_y))
         prims.append(
             StyledPrimitive(
                 Segment(Point(box[0], axis_y), Point(box[2], axis_y)), Stroke.DASHED

@@ -15,15 +15,15 @@ line (anchor, (ux, uy)) with a unit direction.
 
 A namespace provides these methods; the primitives use nothing else of it:
 
-- ``sqrt(x)``, ``hypot(x, y)``, ``isfinite(x)``, ``maximum(a, b)``,
+- ``sqrt(x)``, ``hypot(x, y)``, ``maximum(a, b)``,
   ``where(condition, a, b)`` and ``not_(mask)``, elementwise;
 - ``check(ok, error, message, *values)``, which fails where ``ok`` is
   false: over floats it raises ``error(message.format(*values))``; over
   arrays it only records where a height failed, and the run goes on (see
   ``_batched.execute_batched``);
-- ``check_finite(x, y, skip=False)``, a point's finite check: it fails,
-  as ``check`` does with ``Point``'s ``ValueError``, where x or y is not
-  finite and ``skip`` does not hold.
+- ``check_finite(x, y)``, a point's finite check: it fails, as
+  ``check`` does with ``Point``'s ``ValueError``, where x or y is not
+  finite.
 
 Its numbers support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``abs`` and
 the comparisons ``<``, ``<=``, ``>``, ``==`` and ``!=``, which give masks;
@@ -191,15 +191,14 @@ def _raise_unless(ok: bool, error: type[Exception], message: str, *values: Any) 
 _NOT_FINITE = "point coordinates must be finite, got ({}, {})"
 
 
-def _check_finite(x: float, y: float, skip: bool = False) -> None:
-    if not (skip or math.isfinite(x) and math.isfinite(y)):
+def _check_finite(x: float, y: float) -> None:
+    if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(_NOT_FINITE.format(x, y))
 
 
 FLOATS = SimpleNamespace(
     sqrt=math.sqrt,
     hypot=math.hypot,
-    isfinite=math.isfinite,
     maximum=max,
     where=lambda condition, a, b: a if condition else b,
     not_=operator.not_,
@@ -208,14 +207,14 @@ FLOATS = SimpleNamespace(
 )
 
 
-def _point(ns: Any, x: Any, y: Any, skip: Any = False) -> tuple[Any, Any]:
-    """``Point``'s finite check, except where ``skip`` holds."""
-    ns.check_finite(x, y, skip)
+def _point(ns: Any, x: Any, y: Any) -> tuple[Any, Any]:
+    """``Point``'s finite check."""
+    ns.check_finite(x, y)
     return x, y
 
 
 def _circle(ns: Any, center: Any, radius: Any) -> tuple[Any, Any]:
-    positive = ns.isfinite(radius) & (radius > 0.0)
+    positive = (radius > 0.0) & (radius < math.inf)  # a nan radius fails too
     ns.check(positive, ValueError, "circle radius must be positive, got {}", radius)
     return center, radius
 
@@ -259,7 +258,8 @@ def _perpendicular(ns: Any, at: Any, base: Any) -> tuple[Any, tuple[Any, Any]]:
     # Written so that a nan offset (an overflowing one) fails too.
     on_line = off <= ns.maximum(_EPS_ABS, _EPS_REL * span)
     ns.check(on_line, OffLineError, "point ({}, {}) does not lie on the base line", *at)
-    return _line(ns, at, -uy, ux)
+    # The base's unit direction, which its own line check passed, turned a quarter.
+    return at, (-uy, ux)
 
 
 def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, Any, Any]:
@@ -293,15 +293,12 @@ def _highest(ns: Any, circle: Any, line: Any, *miss: Any) -> tuple[Any, Any]:
     """The intersection point highest by (y, x); where none, ``ns.check(False, *miss)``."""
     missed, tangent, foot, low, high, low_last = _circle_line(ns, circle, line)
     ns.check(ns.not_(missed), *miss)
-    # The points that ``intersect_circle_line`` builds, and so checks. A
-    # finite gap gives finite secant points and an infinite one a miss or a
-    # tangent, so ``low`` and ``high`` are non-finite only together, on a
-    # nan gap: checking ``low`` checks both.
-    _point(ns, *foot, ns.not_(tangent))
-    _point(ns, *low, tangent)
     x = ns.where(tangent, foot[0], ns.where(low_last, low[0], high[0]))
     y = ns.where(tangent, foot[1], ns.where(low_last, low[1], high[1]))
-    return x, y
+    # Only the point returned is checked. A finite foot and gap give |half| <=
+    # r < 1.4e154, under half an ulp of the largest float, so low and high are
+    # non-finite only together, on a nan gap; an infinite gap misses or touches.
+    return _point(ns, x, y)
 
 
 def line_through(p: Point, q: Point) -> Line:

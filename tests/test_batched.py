@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from areaconics import constructions
-from areaconics._batched import ARRAYS, execute_batched
+from areaconics._batched import ARRAYS, _Run, execute_batched
 from areaconics.constructions import (
     _PROGRAMS,
     _STEPS,
@@ -230,6 +230,17 @@ def test_a_sweep_runs_the_kinds_compiled_program_without_compiling(kind, lam, mo
     assert ran and all(ran_program is program for ran_program in ran)
     assert [step.output for step in program.source[1]] == ["E", "F", "EGB", "AG_line", "G", "I"]
     assert program.source[0] == _PROGRAMS[_APPLICATION_KIND[kind]].source[0]
+
+
+@pytest.mark.parametrize("kind, lam", [(ApplicationKind.EXACT, None), (ApplicationKind.DEFICIENT, 0.5), (ApplicationKind.EXCESS, 0.5)])
+def test_a_sweep_run_checks_each_point_it_makes_once(kind, lam, monkeypatch):
+    checked = []
+    check_finite = _Run.check_finite
+    monkeypatch.setattr(_Run, "check_finite", lambda run, x, y: checked.append((x, y)) or check_finite(run, x, y))
+    given = _given_coordinates(AreaFamily(kind, 2.0, lam), np.array([0.5, 1.0, 1.5]))
+    execute_batched(SWEEP_PROGRAMS[kind], given)
+    # E, F, G and I; the given columns are checked through ``check``.
+    assert len(checked) == 4
 
 
 def run_batched(program, given):

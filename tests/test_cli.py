@@ -17,6 +17,7 @@ from areaconics.locus import (
     LocusSamples,
     SampleRange,
     mirror,
+    read_locus_csv,
     sample_locus,
     verify_residuals,
     write_locus_csv,
@@ -440,3 +441,29 @@ def test_an_infinite_base_or_aspect_ratio_exits_1(tmp_path, capsys, argv, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "family, first, last",
+    [
+        (["parabola", "--base", "3"], 0.05 * 3.0, 2.0 * 3.0),
+        (["hyperbola", "--base", "3", "--lambda", "0.5"], 0.05 * 3.0, 2.0 * 3.0),
+        # The ellipse's heights stay below L/lambda = 6.
+        (["ellipse", "--base", "3", "--lambda", "0.5"], 0.05 * 6.0, 0.95 * 6.0),
+    ],
+)
+def test_locus_default_range_runs_from_its_first_to_its_last_height(tmp_path, family, first, last):
+    csv_path = tmp_path / "default.csv"
+    assert run(["locus", "--kind", *family, "--samples", "7", "--out", str(csv_path)]) == 0
+    heights = [p.y for p in read_locus_csv(csv_path) if p.branch is Branch.UPPER]
+    assert len(heights) == 7
+    assert (heights[0], heights[-1]) == (first, last)
+
+
+@pytest.mark.parametrize("given", [["--y-min", "0.5"], ["--y-max", "1.5"]])
+def test_locus_takes_both_ends_of_the_height_range_or_neither(tmp_path, capsys, given):
+    csv_path = tmp_path / "never.csv"
+    argv = ["locus", "--kind", "parabola", "--base", "2", *given, "--samples", "5", "--out", str(csv_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "areaconics: error: --y-min and --y-max must be given together\n"
+    assert not csv_path.exists()

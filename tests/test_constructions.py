@@ -204,6 +204,14 @@ def test_solve_height_infeasible_area():
         solve_height_for_area(ApplicationKind.DEFICIENT, 4, 5, lam=1)
 
 
+def test_solve_height_accepts_areas_up_to_the_maximums_slack():
+    # The maximum L**2/(4*lam) is 4, and areas up to 4*(1 + 1e-9) pass as rounding.
+    edge = 4.0 * (1.0 + 1e-9)
+    assert solve_height_for_area(ApplicationKind.DEFICIENT, 4, edge, lam=1) == [edge / 2.0, 2.0]
+    with pytest.raises(InfeasibleAreaError, match="maximum applicable area"):
+        solve_height_for_area(ApplicationKind.DEFICIENT, 4, math.nextafter(edge, math.inf), lam=1)
+
+
 def test_solve_height_excess():
     roots = solve_height_for_area(ApplicationKind.EXCESS, 2, 3, lam=1)
     assert roots == pytest.approx([1.0], rel=1e-12)

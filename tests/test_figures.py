@@ -21,7 +21,7 @@ from areaconics.figures import (
     scene_from_locus,
 )
 from areaconics.kernel import Circle, Point, Segment, distance
-from areaconics.locus import ConicKind, SampleRange, conic_params, mirror, sample_locus
+from areaconics.locus import Branch, ConicKind, LocusPoint, SampleRange, conic_params, mirror, sample_locus
 
 
 def _elements(svg_text, name):
@@ -211,3 +211,69 @@ def test_figure9_structure():
     ]
     assert len(conjugate) == 1
     assert standard_figure(9) == svg  # byte-identical rerun
+
+
+def _view_box(scene):
+    return tuple(float(v) for v in ET.fromstring(render_svg(scene)).get("viewBox").split())
+
+
+@pytest.mark.parametrize("lam", [1.0, 0.25])
+@pytest.mark.parametrize("branch", list(Branch))
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_scene_from_locus_draws_one_branch_of_a_hyperbola(lam, branch, mirrored):
+    points = [p for p in sample_locus(ConicKind.HYPERBOLA, 2, SampleRange(1.0, 2.0, 3), lam=lam) if p.branch is branch]
+    spec = conic_params(ConicKind.HYPERBOLA, 2, lam=lam)
+    scene = scene_from_locus(mirror(points) if mirrored else points, spec)
+    x0, y0, x1, y1 = scene.bounds
+    assert y0 <= spec.conjugate_axis_y <= y1
+    axis = [s for s in _shapes(scene, Segment) if s.shape.start.y == s.shape.end.y == spec.conjugate_axis_y]
+    assert [(s.shape.start.x, s.shape.end.x) for s in axis] == [(x0, x1)]
+    assert len(_elements(render_svg(scene), "circle")) == len(points) * (2 if mirrored else 1)
+
+
+def test_scene_from_locus_clips_each_asymptote_on_its_line():
+    lam = 0.25
+    spec = conic_params(ConicKind.HYPERBOLA, 2, lam=lam)
+    scene = scene_from_locus(mirror(sample_locus(ConicKind.HYPERBOLA, 2, SampleRange(1.0, 2.0, 2), lam=lam)), spec)
+    inclined = [
+        p.shape for p in _shapes(scene, Segment) if p.shape.start.x != p.shape.end.x and p.shape.start.y != p.shape.end.y
+    ]
+    center, slope = spec.conjugate_axis_y, 1.0 / math.sqrt(lam)
+    signs = []
+    for segment in inclined:
+        start, end = segment.start, segment.end
+        signs.append(math.copysign(1.0, (end.y - start.y) * (end.x - start.x)))
+        for p in (start, end):
+            assert p.y == pytest.approx(center + signs[-1] * slope * p.x, rel=1e-12, abs=1e-12)
+    assert sorted(signs) == [-1.0, 1.0]
+
+
+def test_scene_from_locus_gives_a_point_on_the_axis_a_dot_only():
+    scene = scene_from_locus([LocusPoint(0.0, 0.0)], conic_params(ConicKind.PARABOLA, 4))
+    assert scene.primitives == (StyledPrimitive(Dot(Point(0.0, 0.0))),)
+
+
+def test_a_lone_arc_views_its_whole_circle():
+    # The circle's box, 120 units square, plus 5% of it on every side.
+    scene = Scene((StyledPrimitive(Arc(Circle(Point(1.0, 2.0), 1.5), 0.0, math.pi)),))
+    assert _view_box(scene) == (-26.0, -146.0, 132.0, 132.0)
+
+
+def test_a_lone_dot_views_the_minimum_padding():
+    scene = Scene((StyledPrimitive(Dot(Point(1.0, 2.0))),))
+    assert _view_box(scene) == (36.0, -84.0, 8.0, 8.0)
+
+
+@pytest.mark.parametrize(
+    "shape, inside, outside",
+    [
+        # The arc's whole circle, not only its half, must fit.
+        (Arc(Circle(Point(1.0, 1.0), 1.0), 0.0, math.pi), (0.0, 0.0, 2.0, 2.0), (0.0, 1.0, 2.0, 2.0)),
+        (Label(Point(1.0, 1.0), "A"), (1.0, 1.0, 1.0, 1.0), (0.0, 0.0, 0.5, 2.0)),
+    ],
+)
+def test_scene_bounds_hold_arcs_and_labels(shape, inside, outside):
+    primitive = StyledPrimitive(shape)
+    assert Scene((primitive,), bounds=inside).bounds == inside
+    with pytest.raises(FigureError, match="explicit scene bounds do not contain all primitives"):
+        Scene((primitive,), bounds=outside)

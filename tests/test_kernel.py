@@ -2,16 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from areaconics import kernel
-from areaconics._batched import _Run, execute_batched
-from areaconics.constructions import ConstructionStep, StepOp, _compile
+from areaconics._batched import ARRAYS, _Run, execute_batched
+from areaconics.constructions import (
+    ConstructionStep,
+    ConstructionTrace,
+    StepOp,
+    _compile,
+    apply_deficient,
+    apply_exact,
+    apply_excess,
+    replay_trace,
+)
 from areaconics.kernel import (
     _EPS_ABS,
     _EPS_REL,
     FLOATS,
     Circle,
     DegenerateRayError,
+    GeometryError,
     Line,
     OffLineError,
     Point,
@@ -257,7 +269,7 @@ def test_a_secant_whose_squares_overflow_fails_on_its_nan_points():
 
 
 # The methods that ``kernel``'s docstring says a namespace provides.
-NAMESPACE_METHODS = ("sqrt", "hypot", "isfinite", "maximum", "where", "not_", "check", "check_finite")
+NAMESPACE_METHODS = ("sqrt", "hypot", "maximum", "where", "not_", "check", "check_finite")
 
 
 @pytest.mark.parametrize("ns", [FLOATS, _Run()], ids=["FLOATS", "_Run"])
@@ -267,7 +279,13 @@ def test_a_namespace_provides_every_method_the_kernel_names(ns):
         assert callable(getattr(ns, name)), name
 
 
-def test_the_float_finite_check_raises_points_error_unless_skipped():
+def test_the_namespaces_hold_the_contract_and_nothing_more():
+    assert sorted(vars(FLOATS)) == sorted(NAMESPACE_METHODS)
+    # A run adds the two checks, and its mask, to the array methods.
+    assert sorted(vars(ARRAYS)) == sorted(set(NAMESPACE_METHODS) - {"check", "check_finite"})
+
+
+def test_the_float_finite_check_raises_points_error():
     for x, y in ((math.inf, 0.0), (0.0, math.nan), (-math.inf, math.inf)):
         with pytest.raises(ValueError) as caught:
             FLOATS.check_finite(x, y)
@@ -276,7 +294,6 @@ def test_the_float_finite_check_raises_points_error_unless_skipped():
         with pytest.raises(ValueError) as built:
             Point(x, y)
         assert str(built.value) == str(caught.value)
-        FLOATS.check_finite(x, y, True)
     FLOATS.check_finite(5e-324, -1e308)
 
 
@@ -284,10 +301,8 @@ def test_a_run_folds_each_finite_check_into_its_mask():
     run = _Run()
     run.check_finite(np.array([1.0, math.inf, 2.0, math.nan]), np.float64(0.0))
     assert run.ok.tolist() == [True, False, True, False]
-    # A skip mask passes the rows it holds.
-    run = _Run()
-    run.check_finite(np.array([math.inf, math.inf, 1.0]), np.float64(0.0), np.array([True, False, False]))
-    assert run.ok.tolist() == [True, False, True]
+    run.check_finite(np.float64(1.0), np.array([0.0, 0.0, -math.inf, 0.0]))
+    assert run.ok.tolist() == [True, False, False, False]
 
 
 def test_a_run_folds_a_check_on_constants_alone_in_python():
@@ -301,3 +316,97 @@ def test_a_run_folds_a_check_on_constants_alone_in_python():
     # A failing 0-d mask fails every height.
     run.check_finite(np.float64(math.inf), np.float64(0.0))
     assert run.ok is np.False_
+
+
+@pytest.mark.parametrize(
+    "application, checks",
+    [
+        (lambda: apply_exact(2.0, 1.5), 32),
+        (lambda: apply_deficient(4.0, 1.0, 1.0), 36),
+        (lambda: apply_excess(2.0, 0.5, 1.5), 36),
+    ],
+    ids=["exact", "deficient", "excess"],
+)
+def test_a_construct_op_checks_each_point_once_per_build(monkeypatch, application, checks):
+    # An application builds its 4 (exact) or 6 given Points, its 6 steps
+    # each check the one point they make, and it builds those 6 Points. The
+    # trace's JSON round trip builds the given Points again, and its replay
+    # runs the same 6 steps and builds the same 6 Points.
+    counted = []
+    check_finite, post_init = FLOATS.check_finite, Point.__post_init__
+    monkeypatch.setattr(FLOATS, "check_finite", lambda x, y: counted.append((x, y)) or check_finite(x, y))
+    monkeypatch.setattr(Point, "__post_init__", lambda self: counted.append(self) or post_init(self))
+    result = application()
+    replay_trace(ConstructionTrace.from_json(result.trace.to_json()))
+    assert len(counted) == checks
+
+
+MISS = "circle and line do not meet"
+AXES = [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)]
+
+
+@st.composite
+def circles_and_lines(draw):
+    """A circle and a line at one scale from 1e-300 to 1e300.
+
+    Past ~1e154 a squared length overflows: r² and h² together give a nan
+    gap, r² alone an infinite one (a tangent), h² alone a miss. Far below
+    1, every meeting falls in the tangent band.
+    """
+    scale = 10.0 ** draw(st.floats(-300.0, 300.0))
+
+    def coordinate():
+        return scale * draw(st.floats(-2.0, 2.0))
+
+    center = Point(coordinate(), coordinate())
+    radius = scale * draw(st.floats(1e-3, 2.0))
+    anchor = Point(center.x + coordinate(), center.y + coordinate())
+    angles = st.floats(0.0, 2.0 * math.pi).map(lambda a: (math.cos(a), math.sin(a)))
+    return Circle(center, radius), Line(anchor, draw(st.sampled_from(AXES) | angles))
+
+
+def _values(circle, line):
+    """cx, cy, r, ax, ay, ux, uy."""
+    return (circle.center.x, circle.center.y, circle.radius, line.anchor.x, line.anchor.y, *line.direction)
+
+
+def _highest_of(ns, cx, cy, r, ax, ay, ux, uy):
+    return _highest(ns, ((cx, cy), r), ((ax, ay), (ux, uy)), GeometryError, MISS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(circles_and_lines(), min_size=1, max_size=6))
+@example([(Circle(Point(0.0, 0.0), 1.0), Line(Point(0.0, 1.0), (1.0, 0.0)))])  # a tangent
+@example([(Circle(Point(0.0, 0.0), 1.0), Line(Point(0.0, 2.0), (1.0, 0.0)))])  # a miss
+@example([(Circle(Point(0.0, 0.0), 2e200), Line(Point(0.0, 1e200), (1.0, 0.0)))])  # a nan gap
+@example([(Circle(Point(0.0, 0.0), 2e200), Line(Point(0.0, 1.0), (0.0, 1.0)))])  # r² alone overflows
+@example([(Circle(Point(0.0, 0.0), 1.0), Line(Point(1e200, 0.0), (0.0, 1.0)))])  # h² alone overflows
+def test_highest_is_the_last_point_intersect_circle_line_sorts(cases):
+    # Over floats, each case on its own: the point, or the error.
+    expected = []
+    for circle, line in cases:
+        try:
+            points = intersect_circle_line(circle, line)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as caught:
+                _highest_of(FLOATS, *_values(circle, line))
+            assert type(caught.value) is type(exc)
+            assert str(caught.value) == str(exc)
+            expected.append(None)
+            continue
+        if not points:
+            with pytest.raises(GeometryError, match=MISS):
+                _highest_of(FLOATS, *_values(circle, line))
+            expected.append(None)
+            continue
+        x, y = _highest_of(FLOATS, *_values(circle, line))
+        assert (x.hex(), y.hex()) == (points[-1].x.hex(), points[-1].y.hex())
+        expected.append((x, y))
+    # Over a run, one row per case: the same outcome at each row.
+    run = _Run()
+    with np.errstate(all="ignore"):
+        xs, ys = _highest_of(run, *np.array([_values(circle, line) for circle, line in cases]).T)
+    assert run.ok.tolist() == [point is not None for point in expected]
+    for x, y, point in zip(xs.tolist(), ys.tolist(), expected):
+        if point is not None:
+            assert (x.hex(), y.hex()) == (point[0].hex(), point[1].hex())

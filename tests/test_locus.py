@@ -855,3 +855,26 @@ def test_a_large_scale_sweep_is_fitted(kind, lam):
     points = mirror(sample_locus(kind, 1e6, SampleRange(1e5, 9e5, 200), lam))
     expected = conic_params(kind, 1e6, lam).implicit_coefficients()
     assert fit_conic_oracle(points) == pytest.approx(expected, abs=1e-6)
+
+
+def test_fit_conic_oracle_takes_six_points_and_no_fewer():
+    points = sample_locus(ConicKind.ELLIPSE, 2, SampleRange(0.2, 1.8, 6), lam=0.5)
+    expected = conic_params(ConicKind.ELLIPSE, 2, lam=0.5).implicit_coefficients()
+    assert fit_conic_oracle(points) == pytest.approx(expected, abs=1e-9)
+    with pytest.raises(DegenerateFitError, match="need at least 6 points to pin down a conic, got 5"):
+        fit_conic_oracle(points[:5])
+
+
+def test_csv_skips_blank_rows(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("x,y,branch\n1.5,2.0,upper\n\n-1.5,2.0,upper\n", encoding="utf-8")
+    assert read_locus_csv(path) == [LocusPoint(1.5, 2.0), LocusPoint(-1.5, 2.0)]
+
+
+@pytest.mark.parametrize("row, columns", [("1.5,2.0", 2), ("1.5,2.0,upper,0", 4)])
+def test_csv_rejects_a_row_without_three_columns_by_its_line(tmp_path, row, columns):
+    path = tmp_path / "columns.csv"
+    path.write_text(f"x,y,branch\n1.5,2.0,upper\n{row}\n", encoding="utf-8")
+    with pytest.raises(LocusError) as caught:
+        read_locus_csv(path)
+    assert str(caught.value) == f"{path}:3: expected 3 columns, got {columns}"
