@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from enum import Enum
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -95,32 +94,37 @@ class StepOp(Enum):
     MARK_SEGMENT = "MarkSegment"
 
 
-def _intersect(ns: Any, step: ConstructionStep, circle: Any, line: Any) -> Any:
-    miss = "step {!r}: circle {!r} and line {!r} do not intersect"
-    return _highest(ns, circle, line, GeometricFailureError, miss, step.output, *step.inputs)
-
-
-# Each op's input kinds, its output kind, and what it does over a numeric
-# namespace (see ``kernel``), given its step and input values.
-_OPS: dict[StepOp, tuple[tuple[str, ...], str, Callable[..., Any]]] = {
+# Each op's input kinds, its output kind, and its factory: given its step and
+# its input slots, the op, which computes its output over a numeric namespace
+# (see ``kernel``) from the values in the slots so far.
+_OPS: dict[StepOp, tuple[tuple[str, ...], str, Callable[..., Callable[[Any, list[Any]], Any]]]] = {
     StepOp.EXTEND: (
         ("point",) * 4,
         "point",
-        lambda ns, step, through, frm, p, q: _extend(ns, through, frm, _distance(ns, p, q)),
+        lambda step, through, frm, p, q: lambda ns, env: _extend(
+            ns, env[through], env[frm], _distance(ns, env[p], env[q])
+        ),
     ),
-    StepOp.BISECT: (("point",) * 2, "point", lambda ns, step, p, q: _midpoint(ns, p, q)),
+    StepOp.BISECT: (("point",) * 2, "point", lambda step, p, q: lambda ns, env: _midpoint(ns, env[p], env[q])),
     StepOp.DESCRIBE_CIRCLE: (
         ("point",) * 3,
         "circle",
-        lambda ns, step, center, p, q: _circle(ns, center, _distance(ns, p, q)),
+        lambda step, center, p, q: lambda ns, env: _circle(ns, env[center], _distance(ns, env[p], env[q])),
     ),
     StepOp.ERECT_PERPENDICULAR: (
         ("point",) * 3,
         "line",
-        lambda ns, step, at, p, q: _perpendicular(ns, at, _line_through(ns, p, q)),
+        lambda step, at, p, q: lambda ns, env: _perpendicular(ns, env[at], _line_through(ns, env[p], env[q])),
     ),
-    StepOp.INTERSECT_CIRCLE_LINE: (("circle", "line"), "point", _intersect),
-    StepOp.MARK_SEGMENT: (("point",) * 2, "segment", lambda ns, step, p, q: (p, q)),
+    StepOp.INTERSECT_CIRCLE_LINE: (
+        ("circle", "line"),
+        "point",
+        lambda step, circle, line: lambda ns, env: _highest(
+            ns, env[circle], env[line], GeometricFailureError,
+            "step {!r}: circle {!r} and line {!r} do not intersect", step.output, *step.inputs,
+        ),
+    ),
+    StepOp.MARK_SEGMENT: (("point",) * 2, "segment", lambda step, p, q: lambda ns, env: (env[p], env[q])),
 }
 
 
@@ -196,7 +200,7 @@ class ConstructionTrace(_Value):
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
-            "initial": _initial_entries(self.initial),
+            "initial": [{"label": p.label, "x": p.x, "y": p.y} for p in self.initial],
             "steps": [
                 {
                     "op": s.op.value,
@@ -213,13 +217,16 @@ class ConstructionTrace(_Value):
 
         The compact form of a trace that holds its kind's very step tuple
         (an application's, or one ``from_json`` parsed) is that text byte
-        for byte, written from its given points and the kind's step text,
-        encoded once at import.
+        for byte, written from the kind's step text, encoded once at
+        import, and its given points, each from one entry template: a
+        ``Point`` holds finite floats, which ``json`` writes as ``%r`` does.
         """
         if indent is None:
             for kind, steps in _STEPS.items():
                 if self.steps is steps:
-                    return _INITIAL_KEY + json.dumps(_initial_entries(self.initial)) + _STEP_TEXTS[kind]
+                    texts = _LABEL_TEXTS
+                    given = [_ENTRY % (texts.get(p.label) or json.dumps(p.label), p.x, p.y) for p in self.initial]
+                    return _INITIAL_KEY + "[" + ", ".join(given) + "]" + _STEP_TEXTS[kind]
         return json.dumps(self.to_json_dict(), indent=indent)
 
     @classmethod
@@ -269,11 +276,6 @@ class ConstructionTrace(_Value):
         except json.JSONDecodeError as exc:
             raise MalformedTraceError(f"trace document is not valid JSON: {exc}") from exc
         return cls.from_json_dict(data)
-
-
-def _initial_entries(points: Sequence[Point]) -> list[dict[str, Any]]:
-    """A trace's given points as its JSON document lists them."""
-    return [{"label": p.label, "x": p.x, "y": p.y} for p in points]
 
 
 def _initial_points(entries: Any) -> tuple[Point, ...]:
@@ -327,14 +329,15 @@ class _Program(NamedTuple):
     ``source`` is what it was compiled from: the initial points' labels and
     the steps. Slot i holds the entity labelled ``labels[i]``: the initial
     points first, then each step's output. ``made`` holds the slot and
-    label of each point a step makes. Each op is its function, its step,
-    and the getter of its input values.
+    label of each point a step makes. Each op is a step bound to its input
+    slots once, by its ``_OPS`` factory: ``op(ns, env)`` is the step's
+    output from the values in ``env``.
     """
 
     source: tuple[tuple[str, ...], tuple[ConstructionStep, ...]]
     labels: tuple[str, ...]
     made: tuple[tuple[int, str], ...]
-    ops: tuple[tuple[Callable[..., Any], ConstructionStep, Callable[[list[Any]], Any]], ...]
+    ops: tuple[Callable[[Any, list[Any]], Any], ...]
 
     def run(self, ns: Any, initial: list[Any]) -> list[Any]:
         """Every slot's value, from the initial points' (x, y).
@@ -345,8 +348,8 @@ class _Program(NamedTuple):
         checks the points it makes.
         """
         env = list(initial)
-        for fn, step, inputs in self.ops:
-            env.append(fn(ns, step, *inputs(env)))
+        for op in self.ops:
+            env.append(op(ns, env))
         return env
 
     def replay(self, initial: Sequence[Point]) -> dict[str, Point]:
@@ -384,7 +387,7 @@ def _compile(
         slots[label] = (len(slots), "point")
     ops = []
     for step in steps:
-        wants, makes, fn = _OPS[step.op]
+        wants, makes, bind = _OPS[step.op]
         for name in step.inputs:
             if name not in slots:
                 raise MalformedTraceError(f"step input label {name!r} is not defined")
@@ -393,7 +396,7 @@ def _compile(
         for name, want in zip(step.inputs, wants):
             if slots[name][1] != want:
                 raise MalformedTraceError(f"step {step.output!r}: input {name!r} must be a {want}")
-        ops.append((fn, step, operator.itemgetter(*(slots[name][0] for name in step.inputs))))
+        ops.append(bind(step, *[slots[name][0] for name in step.inputs]))
         slots[step.output] = (len(slots), makes)
     made = [(slot, label) for label, (slot, kind) in slots.items() if kind == "point"]
     return _Program((labels, steps), tuple(slots), tuple(made[len(labels) :]), tuple(ops))
@@ -612,7 +615,8 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
 # as ``to_json_dict`` writes them, for ``from_json_dict`` to recognise; and
 # the end of its compact trace text, from ``"steps"`` on, encoded from that
 # list by the same encoder, for ``to_json`` to write and ``from_json`` to
-# recognise.
+# recognise. ``to_json`` writes a given point's entry from ``_ENTRY`` and its
+# label's text, encoded once for the programs' given labels.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
 _STEP_DOCUMENTS = {kind: ConstructionTrace((), steps).to_json_dict()["steps"] for kind, steps in _STEPS.items()}
 _INITIAL_KEY = '{"initial": '
@@ -625,6 +629,8 @@ _PROGRAMS = {
         AreaFamily(ApplicationKind.EXCESS, 1.0, 1.0),
     )
 }
+_ENTRY = '{"label": %s, "x": %r, "y": %r}'
+_LABEL_TEXTS = {label: json.dumps(label) for program in _PROGRAMS.values() for label in program.source[0]}
 # Each kind's program pruned to the labels a sweep reads: G, whose |AG| is a
 # locus point's x, and I, whose check fails a height where G snapped to the
 # tangent foot A (see ``locus.sample_locus``). Both sweeps, over floats and

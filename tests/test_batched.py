@@ -21,6 +21,7 @@ from areaconics.constructions import (
     AreaFamily,
     ConstructionStep,
     ConstructionTrace,
+    GeometricFailureError,
     StepOp,
     _Program,
     _compile,
@@ -416,6 +417,87 @@ def step(op, inputs, output):
 )
 def test_step_failures_match_the_scalar_kernel(steps, given):
     assert_parity(steps, given)
+
+
+def _numbers(value):
+    """An entity's numbers in order: a point's x and y, a circle's center then radius, and so on."""
+    if isinstance(value, tuple):
+        return [number for part in value for number in _numbers(part)]
+    return [value]
+
+
+# For each op, one step program over small-integer given points, and the
+# last step's output as its numbers, at the configuration (row 0) and at
+# the configuration doubled (row 1). Each configuration tells the inputs
+# apart: swapping any two of one kind changes the output, except p and q
+# of a distance or a midpoint, where the output is the same by symmetry.
+# An intersection's circle and line are made by the two steps before it.
+_OP_ORDER_CASES = {
+    "Extend [through, frm, p, q]": (
+        {"T": (2, 0), "F": (0, 0), "P": (0, 1), "Q": (0, 4)},
+        (step(StepOp.EXTEND, ("T", "F", "P", "Q"), "X"),),
+        ([5.0, 0.0], [10.0, 0.0]),
+    ),
+    "Bisect [p, q]": (
+        {"P": (1, 2), "Q": (3, 6)},
+        (step(StepOp.BISECT, ("P", "Q"), "X"),),
+        ([2.0, 4.0], [4.0, 8.0]),
+    ),
+    "DescribeCircle [center, p, q]": (
+        {"C": (1, 1), "P": (2, 0), "Q": (2, 3)},
+        (step(StepOp.DESCRIBE_CIRCLE, ("C", "P", "Q"), "c"),),
+        ([1.0, 1.0, 3.0], [2.0, 2.0, 6.0]),
+    ),
+    "ErectPerpendicular [at, p, q]": (
+        {"T": (1, 0), "P": (0, 0), "Q": (3, 0)},
+        (step(StepOp.ERECT_PERPENDICULAR, ("T", "P", "Q"), "l"),),
+        ([1.0, 0.0, 0.0, 1.0], [2.0, 0.0, 0.0, 1.0]),
+    ),
+    "IntersectCircleLine [circle, line]": (
+        {"O": (0, 0), "R": (3, 4), "T": (3, 0), "U": (4, 0)},
+        (
+            step(StepOp.DESCRIBE_CIRCLE, ("O", "O", "R"), "c"),
+            step(StepOp.ERECT_PERPENDICULAR, ("T", "O", "U"), "l"),
+            step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X"),
+        ),
+        ([3.0, 4.0], [6.0, 8.0]),
+    ),
+    "MarkSegment [p, q]": (
+        {"P": (1, 2), "Q": (3, 4)},
+        (step(StepOp.MARK_SEGMENT, ("P", "Q"), "s"),),
+        ([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 6.0, 8.0]),
+    ),
+}
+
+
+@pytest.mark.parametrize("given, steps, expected", list(_OP_ORDER_CASES.values()), ids=list(_OP_ORDER_CASES))
+def test_each_op_reads_its_inputs_in_their_documented_order(given, steps, expected):
+    program = _compile(tuple(given), steps)
+    assert _numbers(program.run(FLOATS, [(float(x), float(y)) for x, y in given.values()])[-1]) == expected[0]
+    run = _Run()
+    doubled = [(np.array([x, 2.0 * x]), np.array([y, 2.0 * y])) for x, y in given.values()]
+    with np.errstate(all="ignore"):
+        numbers = _numbers(program.run(run, doubled)[-1])
+    assert run.ok.all()
+    assert [list(np.broadcast_to(n, (2,))) for n in numbers] == [list(row) for row in zip(*expected)]
+
+
+def test_an_intersection_that_misses_names_its_step_circle_and_line_in_order():
+    # The circle about O of radius |OR| = 5 misses the perpendicular at T = (6, 0).
+    given = {"O": (0, 0), "R": (3, 4), "T": (6, 0), "U": (7, 0)}
+    steps = (
+        step(StepOp.DESCRIBE_CIRCLE, ("O", "O", "R"), "c"),
+        step(StepOp.ERECT_PERPENDICULAR, ("T", "O", "U"), "l"),
+        step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X"),
+    )
+    program = _compile(tuple(given), steps)
+    with pytest.raises(GeometricFailureError) as caught:
+        program.run(FLOATS, [(float(x), float(y)) for x, y in given.values()])
+    assert str(caught.value) == "step 'X': circle 'c' and line 'l' do not intersect"
+    run = _Run()
+    with np.errstate(all="ignore"):
+        program.run(run, [(np.array([x, 2.0 * x]), np.array([y, 2.0 * y])) for x, y in given.values()])
+    assert list(run.ok) == [False, False]
 
 
 @pytest.fixture(scope="module")

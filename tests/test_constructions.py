@@ -747,9 +747,26 @@ def test_an_applications_trace_is_written_without_encoding_a_step(kind, monkeypa
     monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or dumps(value, **kw))
     monkeypatch.setattr(ConstructionTrace, "to_json_dict", lambda self: documents.append(self) or to_json_dict(self))
     assert trace.to_json() == expected
-    assert documents == [] and encoded == [to_json_dict(trace)["initial"]]
+    # Neither a step nor a given point is encoded: each given entry is written from one template.
+    assert documents == [] and encoded == []
     assert edited.to_json() == expected
     assert documents == [edited]
+
+
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_given_labels_outside_the_applications_are_encoded_when_written(kind, monkeypatch):
+    # The kind's very step tuple, with given labels that no application uses.
+    trace = ConstructionTrace(
+        (Point(0.5, -0.0, "P"), Point(1e300, 5e-324, "é"), Point(-2.0, 3.0, 'q"'), Point(4.0, 1.0, "A")), _STEPS[kind]
+    )
+    dumps, encoded = json.dumps, []
+    monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or dumps(value, **kw))
+    text = trace.to_json()
+    assert encoded == ["P", "é", 'q"']
+    monkeypatch.undo()
+    assert text == json.dumps(trace.to_json_dict())
+    read = ConstructionTrace.from_json(text)
+    assert read == trace and read.steps is _STEPS[kind]
 
 
 def _as_document(text):
