@@ -216,10 +216,10 @@ class ConstructionTrace(_Value):
         """The trace as JSON text: ``json.dumps(self.to_json_dict(), indent=indent)``.
 
         The compact form of a trace that holds its kind's very step tuple
-        (an application's, or one ``from_json`` parsed) is that text byte
-        for byte, written from the kind's step text, encoded once at
-        import, and its given points, each from one entry template: a
-        ``Point`` holds finite floats, which ``json`` writes as ``%r`` does.
+        (an application's, or one ``from_json`` read from compact text) is
+        that text byte for byte, written from the kind's step text, encoded
+        once at import, and its given points, each from one entry template:
+        a ``Point`` holds finite floats, which ``json`` writes as ``%r`` does.
         """
         if indent is None:
             for kind, steps in _STEPS.items():
@@ -233,21 +233,7 @@ class ConstructionTrace(_Value):
     def from_json_dict(cls, data: Any) -> ConstructionTrace:
         if not isinstance(data, dict) or "initial" not in data or "steps" not in data:
             raise MalformedTraceError("trace document must have 'initial' and 'steps' keys")
-        try:
-            initial = _initial_points(data["initial"])
-            # An application's steps, recognised whole, are its kind's very
-            # step objects, built and validated at import.
-            for kind, written in _STEP_DOCUMENTS.items():
-                if data["steps"] == written:
-                    steps = _STEPS[kind]
-                    break
-            else:
-                steps = tuple(map(_step_from_json, data["steps"]))
-        except MalformedTraceError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedTraceError(f"invalid trace document: {exc}") from exc
-        return cls(initial, steps)
+        return cls(_entries(_point_from_json, data["initial"]), _entries(_step_from_json, data["steps"]))
 
     @classmethod
     def from_json(cls, text: str | bytes | bytearray) -> ConstructionTrace:
@@ -259,9 +245,10 @@ class ConstructionTrace(_Value):
         middle decoded. If that is one JSON value, the document is
         ``{"initial": value, "steps": <the kind's steps>}``: its given
         points are read as ``from_json_dict`` reads them, and the trace
-        holds the kind's step tuple. Any other text (``bytes`` included),
-        or a middle that does not decode, is decoded whole. Either way the
-        result, or the error, is the same.
+        holds the kind's step tuple. Any other text (``bytes``, an indented
+        one, or a middle that does not decode) is decoded whole, and each
+        step built and validated: the trace holds equal steps. Either way
+        the trace, or the error, is the same.
         """
         if isinstance(text, str) and text.startswith(_INITIAL_KEY):
             for kind, tail in _STEP_TEXTS.items():
@@ -270,7 +257,7 @@ class ConstructionTrace(_Value):
                         value = json.loads(text[len(_INITIAL_KEY) : -len(tail)])
                     except json.JSONDecodeError:
                         break
-                    return cls(_initial_points(value), _STEPS[kind])
+                    return cls(_entries(_point_from_json, value), _STEPS[kind])
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -278,17 +265,19 @@ class ConstructionTrace(_Value):
         return cls.from_json_dict(data)
 
 
-def _initial_points(entries: Any) -> tuple[Point, ...]:
-    """The given points a trace document's ``initial`` value lists, each checked."""
+def _entries(read: Callable[[Any], Any], entries: Any) -> tuple[Any, ...]:
+    """``read`` of each entry of a trace document's list; a malformed entry raises ``MalformedTraceError``."""
     try:
-        return tuple(
-            Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
-            for entry in entries
-        )
+        return tuple(map(read, entries))
     except MalformedTraceError:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedTraceError(f"invalid trace document: {exc}") from exc
+
+
+def _point_from_json(entry: Any) -> Point:
+    """The given point a trace document's entry holds, each field checked."""
+    return Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
 
 
 def _coordinate(value: Any) -> float:
@@ -413,8 +402,9 @@ def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     """
     source = (tuple([p.label for p in trace.initial]), trace.steps)
     for program in _PROGRAMS.values():
-        # A parsed application's steps are its kind's very step tuple (see
-        # ``from_json_dict``), which tuple equality matches by identity.
+        # An application's steps, and those ``from_json`` reads from its compact
+        # text, are its kind's very step tuple, which tuple equality matches by
+        # identity; equal steps read otherwise are compared field by field.
         if program.source == source:
             break
     else:
@@ -611,16 +601,17 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built, validated and compiled once; its steps
-# as ``to_json_dict`` writes them, for ``from_json_dict`` to recognise; and
-# the end of its compact trace text, from ``"steps"`` on, encoded from that
-# list by the same encoder, for ``to_json`` to write and ``from_json`` to
+# The step program of each kind, built, validated and compiled once, and the
+# end of its compact trace text, from ``"steps"`` on, encoded from its steps as
+# ``to_json_dict`` writes them, for ``to_json`` to write and ``from_json`` to
 # recognise. ``to_json`` writes a given point's entry from ``_ENTRY`` and its
 # label's text, encoded once for the programs' given labels.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
-_STEP_DOCUMENTS = {kind: ConstructionTrace((), steps).to_json_dict()["steps"] for kind, steps in _STEPS.items()}
 _INITIAL_KEY = '{"initial": '
-_STEP_TEXTS = {kind: ', "steps": ' + json.dumps(written) + "}" for kind, written in _STEP_DOCUMENTS.items()}
+_STEP_TEXTS = {
+    kind: ', "steps": ' + json.dumps(ConstructionTrace((), steps).to_json_dict()["steps"]) + "}"
+    for kind, steps in _STEPS.items()
+}
 _PROGRAMS = {
     family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
     for family in (

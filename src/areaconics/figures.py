@@ -204,15 +204,11 @@ def _clip_line_to_box(
     direction: tuple[float, float],
     box: tuple[float, float, float, float],
 ) -> tuple[Point, Point] | None:
-    """Clip an infinite line to an axis-aligned box (slab method)."""
+    """Clip an infinite line to an axis-aligned box (slab method); no direction component may be 0."""
     ax, ay = anchor
     dx, dy = direction
     t_lo, t_hi = -math.inf, math.inf
     for pos, vel, lo, hi in ((ax, dx, box[0], box[2]), (ay, dy, box[1], box[3])):
-        if vel == 0.0:
-            if pos < lo or pos > hi:
-                return None
-            continue
         t_a, t_b = (lo - pos) / vel, (hi - pos) / vel
         if t_a > t_b:
             t_a, t_b = t_b, t_a

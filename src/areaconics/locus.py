@@ -569,7 +569,8 @@ def _residual_forms(family: AreaFamily) -> Callable[[Any, Any, Any], tuple[Any, 
     Plain arithmetic, so the coordinates may be floats or numpy arrays.
     ``vertex_y`` is y with lower-branch points reflected first; the vertex
     form is |x**2 - (L*y + k*y**2)| at it, and the standard form is
-    dimensionless. Both are >= 0 or nan.
+    dimensionless. Both are >= 0 or nan. A semi-axis whose square
+    underflows to 0 raises LocusError.
     """
     base_L, k = family.base_L, family.k
     if k == 0.0:
@@ -588,6 +589,9 @@ def _residual_forms(family: AreaFamily) -> Callable[[Any, Any, Any], tuple[Any, 
     center = -base_L / (2.0 * k)
     a = base_L / (2.0 * math.sqrt(abs(k)))
     c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
+    for name, square in (("L/(2*lambda)", c2), ("L/(2*sqrt(lambda))", a2)):
+        if square == 0.0:
+            raise LocusError(f"({name})**2 for L = {base_L}, lambda = {family.lam} underflows the float range")
 
     def central(x: Any, y: Any, vertex_y: Any) -> tuple[Any, Any]:
         d = y - center
@@ -690,9 +694,10 @@ def verify_residuals(
     points are checked on columns, 8,192 at a time (``_worst_on_columns``);
     a process that has not loaded numpy checks them one at a time over
     floats (``_worst_in_loop``), so the CLI never loads it to verify. Both
-    give the same report. For a list or any other iterable the worst points
-    are the caller's own objects; for a ``LocusSamples`` they are built
-    from its columns.
+    give the same report, or the same LocusError, raised before any point
+    is read, where a semi-axis's square underflows to 0. For a list or any
+    other iterable the worst points are the caller's own objects; for a
+    ``LocusSamples`` they are built from its columns.
     """
     family = _family(kind, base_L, lam)
     if not (0.0 <= tol < math.inf):

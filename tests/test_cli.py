@@ -417,6 +417,33 @@ def test_params_exits_1_where_a_semi_axis_underflows(capsys):
         )
 
 
+
+def test_verify_exits_1_where_a_semi_axis_squared_underflows(tmp_path, capsys):
+    # Both evaluations: the float loop, in a fresh process that has not
+    # loaded numpy, and the columns, in this one.
+    points = tmp_path / "points.csv"
+    points.write_text("x,y,branch\n1e-170,1e-171,upper\n", encoding="utf-8")
+    fresh = (
+        "import contextlib, io, json, sys, areaconics.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "    code = areaconics.cli.run(json.loads(sys.argv[1]))\n"
+        "print(json.dumps([code, err.getvalue(), 'numpy' in sys.modules]))\n"
+    )
+    for kind in ("ellipse", "hyperbola"):
+        for base, code in (("1e-170", 1), ("1e-160", 0)):
+            argv = ["verify", "--points", str(points), "--kind", kind, "--base", base, "--lambda", "1", "--tol", "1e-9"]
+            assert run(argv) == code
+            captured = capsys.readouterr()
+            assert json.loads(_fresh_python(fresh, json.dumps(argv))) == [code, captured.err, False]
+            if code:
+                assert captured.out == ""
+                assert captured.err.strip().endswith(
+                    "error: (L/(2*lambda))**2 for L = 1e-170, lambda = 1.0 underflows the float range"
+                )
+            else:
+                assert json.loads(captured.out)["passed"] is True
+
+
 BASE_NOT_FINITE = "base length must be positive and finite, got inf"
 RATIO_NOT_FINITE = "aspect ratio must be positive and finite, got inf"
 

@@ -625,16 +625,15 @@ def test_replaying_a_parsed_trace_runs_its_kinds_program_without_compiling(kind,
     assert _hex_points(replayed) == _hex_points(result.figure_points)
 
 
-# Entries that hold an application's steps, written otherwise: with the keys
-# reordered the step list still equals its kind's, so no step is built; with
-# an extra key it does not, so every step is built, and each equals its kind's.
+# Entries that hold an application's steps, written otherwise (the keys
+# reordered, or an extra key): every step is built, and each equals its kind's.
 @pytest.mark.parametrize("kind", list(ApplicationKind))
 @pytest.mark.parametrize(
-    "rewrite, validated",
-    [(lambda entry: dict(reversed(entry.items())), 0), (lambda entry: entry | {"note": "extra"}, 12)],
+    "rewrite",
+    [lambda entry: dict(reversed(entry.items())), lambda entry: entry | {"note": "extra"}],
     ids=["keys reordered", "extra key"],
 )
-def test_an_applications_steps_written_otherwise_replay_on_its_kinds_program(kind, rewrite, validated, monkeypatch):
+def test_an_applications_steps_written_otherwise_replay_on_its_kinds_program(kind, rewrite, monkeypatch):
     result = APPLICATIONS[kind]()
     doc = result.trace.to_json_dict()
     doc["steps"] = [rewrite(entry) for entry in doc["steps"]]
@@ -644,7 +643,7 @@ def test_an_applications_steps_written_otherwise_replay_on_its_kinds_program(kin
     replay = _Program.replay
     monkeypatch.setattr(_Program, "replay", lambda program, initial: ran.append(program) or replay(program, initial))
     replayed = replay_trace(ConstructionTrace.from_json(json.dumps(doc)))
-    assert len(built) == validated and compiled == []
+    assert built == list(_STEPS[kind]) and compiled == []
     assert len(ran) == 1 and ran[0] is _PROGRAMS[kind]
     assert _hex_points(replayed) == _hex_points(result.figure_points)
 
@@ -733,6 +732,7 @@ def test_an_applications_trace_text_is_its_documents_encoding(kind, scale, tall,
         reject()
     assert trace.to_json() == json.dumps(trace.to_json_dict())
     assert trace.to_json(indent=2) == json.dumps(trace.to_json_dict(), indent=2)
+    assert ConstructionTrace.from_json(trace.to_json(indent=2)) == trace
 
 
 @pytest.mark.parametrize("kind", list(ApplicationKind))
@@ -779,12 +779,11 @@ def _as_document(text):
 
 
 def _outcome(read, text):
-    """The trace read and the kinds whose very step tuple it holds, or the error's class and message."""
+    """The trace read, or the error's class and message."""
     try:
-        trace = read(text)
+        return read(text)
     except Exception as exc:
         return type(exc), str(exc)
-    return trace, [kind for kind, steps in _STEPS.items() if trace.steps is steps]
 
 
 def _with_initial(kind, initial):
@@ -806,8 +805,9 @@ def _next_kind(kind):
 
 
 # Each case rewrites an application's compact trace text. ``middle`` says
-# whether ``from_json`` decodes only the initial value, never the whole text;
-# ``reads`` whether the text holds a trace.
+# whether ``from_json`` decodes only the initial value, never the whole text,
+# and so reads a trace that holds a kind's very step tuple; ``reads`` whether
+# the text holds a trace.
 _TEXT_CASES = {
     "canonical": (lambda kind, text: text, True, True),
     "leading space": (lambda kind, text: " " + text, False, True),
@@ -859,11 +859,14 @@ def test_reading_a_trace_text_matches_reading_its_document(kind, case, monkeypat
     decoded = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda value, **kw: decoded.append(value) or loads(value, **kw))
-    assert _outcome(ConstructionTrace.from_json, text) == expected
+    read = _outcome(ConstructionTrace.from_json, text)
+    assert read == expected
     assert (text not in decoded) == middle
-    assert isinstance(expected[0], ConstructionTrace) == reads
+    assert isinstance(expected, ConstructionTrace) == reads
     if not reads:
         assert expected[0] is MalformedTraceError
+    elif middle:
+        assert any(read.steps is steps for steps in _STEPS.values())
 
 
 @pytest.mark.parametrize("kind", list(ApplicationKind))
@@ -875,7 +878,27 @@ def test_reading_a_trace_text_matches_reading_its_document(kind, case, monkeypat
 def test_a_trace_reads_from_bytes(kind, encode):
     trace = APPLICATIONS[kind]().trace
     parsed = ConstructionTrace.from_json(encode(trace.to_json()))
-    assert parsed == trace and parsed.steps is _STEPS[kind]
+    assert parsed == trace and parsed.steps == _STEPS[kind]
+
+
+# An indented text, as ``construct --trace`` writes it, is decoded whole and
+# every step built; its steps equal its kind's and find its kind's program.
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+@pytest.mark.parametrize("encode", [lambda text: text, lambda text: text.encode()], ids=["str", "bytes"])
+def test_an_applications_indented_trace_reads_back_and_replays_on_its_kinds_program(kind, encode, monkeypatch):
+    result = APPLICATIONS[kind]()
+    text = encode(result.trace.to_json(indent=2))
+    built = _count_step_validations(monkeypatch)
+    parsed = ConstructionTrace.from_json(text)
+    assert parsed == result.trace and len(built) == 12
+    compiled = _count_compiles(monkeypatch)
+    ran = []
+    replay = _Program.replay
+    monkeypatch.setattr(_Program, "replay", lambda program, initial: ran.append(program) or replay(program, initial))
+    replayed = replay_trace(parsed)
+    assert compiled == [] and len(ran) == 1 and ran[0] is _PROGRAMS[kind]
+    assert _hex_points(replayed) == _hex_points(result.figure_points)
+    assert parsed.to_json() == result.trace.to_json()
 
 
 def test_result_invariants_random_spot_checks():

@@ -599,6 +599,30 @@ def test_verify_residuals_overflow_is_an_infinite_residual():
     assert report.max_residual == report.max_standard_residual == math.inf
 
 
+# Below ~1.5e-162 a semi-axis's square underflows to 0: at lambda = 1 both
+# L/(2*lambda) and L/(2*sqrt(lambda)) do, at lambda = 1e-10 only the latter.
+@pytest.mark.parametrize("kind", [ConicKind.ELLIPSE, ConicKind.HYPERBOLA])
+@pytest.mark.parametrize("lam, semi_axis", [(1.0, "L/(2*lambda)"), (1e-10, "L/(2*sqrt(lambda))")])
+def test_verify_residuals_rejects_a_semi_axis_whose_square_underflows(kind, lam, semi_axis):
+    def unread():
+        raise AssertionError("a point was read")
+        yield
+
+    message = f"({semi_axis})**2 for L = 1e-170, lambda = {lam} underflows the float range"
+    for find_worst in (_worst_in_loop, _worst_on_columns):
+        with pytest.raises(LocusError) as caught:
+            _report_by(find_worst, unread(), kind, lam, base_L=1e-170)
+        assert str(caught.value) == message
+    with pytest.raises(LocusError) as caught:
+        verify_residuals([LocusPoint(1e-170, 1e-171)], kind, 1e-170, lam)
+    assert str(caught.value) == message
+    # At L = 1e-160 the squares are subnormal, not 0, and the point verifies.
+    points = [LocusPoint(1e-170, 1e-171)]
+    by_loop = _report_by(_worst_in_loop, points, kind, lam, base_L=1e-160)
+    assert by_loop.passed
+    assert repr(_report_by(_worst_on_columns, points, kind, lam, base_L=1e-160)) == repr(by_loop)
+
+
 @pytest.mark.parametrize("kind, lam", KINDS)
 def test_mirror_fit_and_write_take_columns_as_lists(tmp_path, kind, lam):
     samples = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
