@@ -488,8 +488,8 @@ class ApplicationSpec(_Value):
     ) -> None:
         family = AreaFamily(kind, base_L, lam)
         height_y = float(height_y)
-        if not (height_y > 0.0):
-            raise ConstructionError(f"rectangle height must be positive, got {height_y}")
+        if not (0.0 < height_y < math.inf):
+            raise ConstructionError(f"rectangle height must be positive and finite, got {height_y}")
         # Only a deficiency can consume the base: b = L - lam*y <= 0 exactly when lam*y >= L.
         if not (family.rect_base(height_y) > 0.0):
             raise DeficiencyExceedsBaseError(

@@ -485,40 +485,20 @@ def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
 
 
 class VerificationReport(_Value):
-    """Residual summary for a point set against a conic's equations.
+    """Residual summary for a point set against the conic's vertex-form equation.
 
-    ``max_residual`` is over the vertex-form equation (x**2 versus
-    L*y -+ lam*y**2, with lower-branch points reflected first);
-    ``max_standard_residual`` is over the dimensionless standard form.
-    The constructor computes ``threshold``, ``tol * max(1, L**2)``, the
-    natural area scale of the residual, and ``passed``, whether the
-    vertex-form maximum is at most the threshold. A nan residual (a
-    non-finite point) counts as the largest: the first such point is
-    reported as the worst, and the check fails.
+    ``max_residual`` is the largest |x**2 - (L*y + k*y**2)| over the points,
+    with lower-branch points reflected first, and ``worst`` the point where
+    it falls (None for no points, whose ``max_residual`` is 0.0). The
+    constructor computes ``threshold``, ``tol * max(1, L**2)``, the natural
+    area scale of the residual, and ``passed``, whether the maximum is at
+    most the threshold. A nan residual (a non-finite point) counts as the
+    largest: the first such point is reported as the worst, and the check
+    fails.
     """
 
-    __match_args__ = (
-        "kind",
-        "base_L",
-        "lam",
-        "tol",
-        "max_residual",
-        "worst",
-        "max_standard_residual",
-        "standard_worst",
-    )
-    _fields = (
-        "kind",
-        "base_L",
-        "lam",
-        "tol",
-        "threshold",
-        "passed",
-        "max_residual",
-        "worst",
-        "max_standard_residual",
-        "standard_worst",
-    )
+    __match_args__ = ("kind", "base_L", "lam", "tol", "max_residual", "worst")
+    _fields = ("kind", "base_L", "lam", "tol", "threshold", "passed", "max_residual", "worst")
 
     def __init__(
         self,
@@ -528,8 +508,6 @@ class VerificationReport(_Value):
         tol: float,
         max_residual: float,
         worst: LocusPoint | None,
-        max_standard_residual: float,
-        standard_worst: LocusPoint | None,
     ) -> None:
         threshold = tol * max(1.0, base_L * base_L)
         _bind(self, "kind", kind)
@@ -540,8 +518,6 @@ class VerificationReport(_Value):
         _bind(self, "passed", max_residual <= threshold)
         _bind(self, "max_residual", max_residual)
         _bind(self, "worst", worst)
-        _bind(self, "max_standard_residual", max_standard_residual)
-        _bind(self, "standard_worst", standard_worst)
 
     def to_json_dict(self) -> dict[str, Any]:
         out: dict[str, Any] = {"kind": self.kind.value, "base_L": self.base_L}
@@ -553,83 +529,55 @@ class VerificationReport(_Value):
         out["max_residual"] = self.max_residual
         if self.worst is not None:
             out["worst"] = [self.worst.x, self.worst.y, self.worst.branch.value]
-        out["max_standard_residual"] = self.max_standard_residual
-        if self.standard_worst is not None:
-            out["standard_worst"] = [
-                self.standard_worst.x,
-                self.standard_worst.y,
-                self.standard_worst.branch.value,
-            ]
         return out
 
 
-def _residual_forms(family: AreaFamily) -> Callable[[Any, Any, Any], tuple[Any, Any]]:
-    """The conic's residuals at points: ``residuals(x, y, vertex_y) -> (vertex, standard)``.
+def _residual(family: AreaFamily) -> Callable[[Any, Any], Any]:
+    """The conic's vertex-form residual at points: ``residual(x, vertex_y)``.
 
     Plain arithmetic, so the coordinates may be floats or numpy arrays.
-    ``vertex_y`` is y with lower-branch points reflected first; the vertex
-    form is |x**2 - (L*y + k*y**2)| at it, and the standard form is
-    dimensionless. Both are >= 0 or nan. A semi-axis whose square
-    underflows to 0 raises LocusError.
+    ``vertex_y`` is y with lower-branch points reflected first; the
+    residual is |x**2 - (L*y + k*y**2)| at it, >= 0 or nan.
     """
     base_L, k = family.base_L, family.k
     if k == 0.0:
 
-        def parabola(x: Any, y: Any, vertex_y: Any) -> tuple[Any, Any]:
-            # k = 0 skips k*y*y, which is nan at an infinite height; x**2 = L*y
-            # is already the parabola's standard form.
-            residual = abs(x * x - base_L * vertex_y)
-            return residual, residual
+        def parabola(x: Any, vertex_y: Any) -> Any:
+            # k = 0 skips k*y*y, which is nan at an infinite height.
+            return abs(x * x - base_L * vertex_y)
 
         return parabola
-    # The standard form about the center y = c = -L/(2k) is
-    # (y - c)**2/c**2 + s*x**2/a**2 = 1, with s = +1 for the ellipse and -1
-    # for the hyperbola; symmetric about c, so both branches check as they
-    # are.
-    center = -base_L / (2.0 * k)
-    a = base_L / (2.0 * math.sqrt(abs(k)))
-    c2, a2, s = center * center, a * a, (-1.0 if k > 0.0 else 1.0)
-    for name, square in (("L/(2*lambda)", c2), ("L/(2*sqrt(lambda))", a2)):
-        if square == 0.0:
-            raise LocusError(f"({name})**2 for L = {base_L}, lambda = {family.lam} underflows the float range")
 
-    def central(x: Any, y: Any, vertex_y: Any) -> tuple[Any, Any]:
-        d = y - center
-        residual = abs(x * x - (base_L * vertex_y + k * vertex_y * vertex_y))
-        return residual, abs(d * d / c2 + s * (x * x / a2) - 1.0)
+    def central(x: Any, vertex_y: Any) -> Any:
+        return abs(x * x - (base_L * vertex_y + k * vertex_y * vertex_y))
 
     return central
 
 
-def _worst_in_loop(points: Iterable[LocusPoint], family: AreaFamily) -> list[list[Any]]:
-    """The largest residuals and their points, one point at a time over floats.
+def _worst_in_loop(points: Iterable[LocusPoint], family: AreaFamily) -> tuple[float, LocusPoint | None]:
+    """The largest residual and its point, one point at a time over floats.
 
-    Returns [max_residual, worst] of the vertex form and then of the
-    standard form, -1.0 and None for no points. A nan residual is the
-    largest: the worst point is the first nan, else the first maximum.
-    The reference for ``_worst_on_columns``.
+    Returns (max_residual, worst), -1.0 and None for no points. A nan
+    residual is the largest: the worst point is the first nan, else the
+    first maximum. The reference for ``_worst_on_columns``.
     """
-    residuals = _residual_forms(family)
+    residual = _residual(family)
     # Residuals are >= 0 or nan, so -1 lets the first point in;
-    # ``not residual <= max`` records a nan, and a nan maximum
+    # ``not value <= max_residual`` records a nan, and a nan maximum
     # (max != max) then keeps the first one.
-    max_residual = max_standard = -1.0
+    max_residual = -1.0
     worst: LocusPoint | None = None
-    standard_worst: LocusPoint | None = None
     lower_branch = Branch.LOWER
     for p in points:
         y = p.y
-        residual, standard = residuals(p.x, y, family.reflect(y) if p.branch is lower_branch else y)
-        if not residual <= max_residual and max_residual == max_residual:
-            max_residual = residual
+        value = residual(p.x, family.reflect(y) if p.branch is lower_branch else y)
+        if not value <= max_residual and max_residual == max_residual:
+            max_residual = value
             worst = p
-        if not standard <= max_standard and max_standard == max_standard:
-            max_standard = standard
-            standard_worst = p
-    return [[max_residual, worst], [max_standard, standard_worst]]
+    return max_residual, worst
 
 
-def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> list[list[Any]]:
+def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> tuple[float, LocusPoint | None]:
     """``_worst_in_loop``'s result, computed on columns one block at a time.
 
     A block's ``argmax`` is its first nan, else its first maximum, and it
@@ -639,18 +587,18 @@ def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> list[
     """
     import numpy as np
 
-    residuals = _residual_forms(family)
+    residual = _residual(family)
     branches = family.k > 0.0
-    found: list[list[Any]] = [[-1.0, None], [-1.0, None]]
+    max_residual = -1.0
+    worst: LocusPoint | None = None
     for block, start, x, y, lower in _column_blocks(points, branches):
         with np.errstate(all="ignore"):
-            forms = residuals(x, y, np.where(lower, family.reflect(y), y) if branches else y)
-        for largest, values in zip(found, forms):
-            i = int(values.argmax())
-            value = float(values[i])
-            if not value <= largest[0] and largest[0] == largest[0]:
-                largest[:] = value, block[start + i]
-    return found
+            values = residual(x, np.where(lower, family.reflect(y), y) if branches else y)
+        i = int(values.argmax())
+        value = float(values[i])
+        if not value <= max_residual and max_residual == max_residual:
+            max_residual, worst = value, block[start + i]
+    return max_residual, worst
 
 
 def _column_blocks(points: Iterable[LocusPoint], branches: bool) -> Iterator[tuple[Any, int, Any, Any, Any]]:
@@ -687,36 +635,37 @@ def verify_residuals(
     lam: float | None = None,
     tol: float = 1e-9,
 ) -> VerificationReport:
-    """Check sampled points against the conic's equations; never raises on failure.
+    """Check sampled points against the conic's vertex-form equation; never raises on failure.
 
-    ``tol`` must be finite and nonnegative: a nan or negative one would fail
-    exact points, an infinite one pass any. Once numpy is loaded, the
-    points are checked on columns, 8,192 at a time (``_worst_on_columns``);
-    a process that has not loaded numpy checks them one at a time over
-    floats (``_worst_in_loop``), so the CLI never loads it to verify. Both
-    give the same report, or the same LocusError, raised before any point
-    is read, where a semi-axis's square underflows to 0. For a list or any
-    other iterable the worst points are the caller's own objects; for a
-    ``LocusSamples`` they are built from its columns.
+    The report holds the family (L and lam as floats), ``tol`` as a float,
+    the threshold, whether the check passed, the largest residual and the
+    point where it falls (see ``VerificationReport``). ``tol`` must be
+    finite and nonnegative: a nan or negative one would fail exact points,
+    an infinite one pass any. Once numpy is loaded, the points are checked
+    on columns, 8,192 at a time (``_worst_on_columns``); a process that has
+    not loaded numpy checks them one at a time over floats
+    (``_worst_in_loop``), so the CLI never loads it to verify. Both give the
+    same report. For a list or any other iterable the worst point is the
+    caller's own object; for a ``LocusSamples`` it is built from its
+    columns.
     """
     family = _family(kind, base_L, lam)
+    tol = float(tol)
     if not (0.0 <= tol < math.inf):
         raise LocusError(f"tolerance must be finite and nonnegative, got {tol}")
     # Where numpy is loaded its import is paid. Elsewhere (the CLI) the
     # import, ~150 ms, would cost more than the loop on any input checked.
     find_worst = _worst_on_columns if "numpy" in sys.modules else _worst_in_loop
-    (max_residual, worst), (max_standard, standard_worst) = find_worst(points, family)
+    max_residual, worst = find_worst(points, family)
     if worst is None:  # no points
-        max_residual = max_standard = 0.0
+        max_residual = 0.0
     return VerificationReport(
         kind=kind,
         base_L=family.base_L,
-        lam=lam,
+        lam=family.lam,
         tol=tol,
         max_residual=max_residual,
         worst=worst,
-        max_standard_residual=max_standard,
-        standard_worst=standard_worst,
     )
 
 

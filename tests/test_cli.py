@@ -418,30 +418,36 @@ def test_params_exits_1_where_a_semi_axis_underflows(capsys):
 
 
 
-def test_verify_exits_1_where_a_semi_axis_squared_underflows(tmp_path, capsys):
-    # Both evaluations: the float loop, in a fresh process that has not
-    # loaded numpy, and the columns, in this one.
+def test_verify_prints_one_report_where_a_semi_axis_squared_underflows(tmp_path, capsys):
+    # Below ~1.5e-162 a semi-axis's square underflows to 0, which the vertex
+    # form never divides by. Both evaluations print verify_residuals' report:
+    # the float loop, in a fresh process that has not loaded numpy, and the
+    # columns, in this one.
     points = tmp_path / "points.csv"
     points.write_text("x,y,branch\n1e-170,1e-171,upper\n", encoding="utf-8")
+    argvs, printed = [], []
+    for kind in ("ellipse", "hyperbola"):
+        for base in ("1e-170", "1e-160"):
+            for lam in ("1", "1e-10"):
+                argv = ["verify", "--points", str(points), "--kind", kind, "--base", base, "--lambda", lam]
+                argvs.append([*argv, "--tol", "1e-9"])
+                code = run(argvs[-1])
+                captured = capsys.readouterr()
+                report = verify_residuals(read_locus_csv(points), ConicKind(kind), float(base), float(lam), 1e-9)
+                assert captured.out == json.dumps(report.to_json_dict()) + "\n"
+                assert captured.err == ""
+                assert code == (0 if report.passed else 2)
+                printed.append([code, captured.out, captured.err])
     fresh = (
         "import contextlib, io, json, sys, areaconics.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:\n"
-        "    code = areaconics.cli.run(json.loads(sys.argv[1]))\n"
-        "print(json.dumps([code, err.getvalue(), 'numpy' in sys.modules]))\n"
+        "printed = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out, contextlib.redirect_stderr(io.StringIO()) as err:\n"
+        "        code = areaconics.cli.run(argv)\n"
+        "    printed.append([code, out.getvalue(), err.getvalue()])\n"
+        "print(json.dumps([printed, 'numpy' in sys.modules]))\n"
     )
-    for kind in ("ellipse", "hyperbola"):
-        for base, code in (("1e-170", 1), ("1e-160", 0)):
-            argv = ["verify", "--points", str(points), "--kind", kind, "--base", base, "--lambda", "1", "--tol", "1e-9"]
-            assert run(argv) == code
-            captured = capsys.readouterr()
-            assert json.loads(_fresh_python(fresh, json.dumps(argv))) == [code, captured.err, False]
-            if code:
-                assert captured.out == ""
-                assert captured.err.strip().endswith(
-                    "error: (L/(2*lambda))**2 for L = 1e-170, lambda = 1.0 underflows the float range"
-                )
-            else:
-                assert json.loads(captured.out)["passed"] is True
+    assert json.loads(_fresh_python(fresh, json.dumps(argvs))) == [printed, False]
 
 
 BASE_NOT_FINITE = "base length must be positive and finite, got inf"
@@ -468,6 +474,18 @@ def test_an_infinite_base_or_aspect_ratio_exits_1(tmp_path, capsys, argv, messag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(f"error: {message}")
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [["exact"], ["deficient", "--lambda", "0.5"], ["excess", "--lambda", "1"]],
+    ids=["exact", "deficient", "excess"],
+)
+def test_construct_exits_1_at_an_infinite_height(capsys, kind):
+    assert run(["construct", "--kind", *kind, "--base", "1", "--height", "inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith("error: rectangle height must be positive and finite, got inf")
 
 
 @pytest.mark.parametrize(

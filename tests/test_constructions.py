@@ -120,6 +120,20 @@ def test_domain_errors():
         ApplicationSpec(ApplicationKind.DEFICIENT, 4.0, 1.0)  # lambda missing
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda y: apply_exact(1, y), lambda y: apply_deficient(1, 0.5, y), lambda y: apply_excess(1, 1, y)],
+    ids=["exact", "deficient", "excess"],
+)
+def test_an_infinite_height_is_a_domain_error(build):
+    # Checked with the spec, as the base and lambda are, not by the kernel
+    # at the first point built.
+    with pytest.raises(ConstructionError) as caught:
+        build(math.inf)
+    assert type(caught.value) is ConstructionError
+    assert str(caught.value) == "rectangle height must be positive and finite, got inf"
+
+
 def test_construction_matches_algebra():
     rng = np.random.default_rng(101)
     for _ in range(1000):

@@ -167,7 +167,7 @@ def test_an_infinite_top_height_fails_as_at_the_first_height():
     # y_min + 0*inf is nan, without a numpy warning.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ConstructionError, match="rectangle height must be positive, got nan"):
+        with pytest.raises(ConstructionError, match="rectangle height must be positive and finite, got nan"):
             sample_locus(ConicKind.PARABOLA, 1.0, SampleRange(0.1, math.inf, 3))
 
 
@@ -432,6 +432,22 @@ def test_verify_residuals_empty():
     assert report.worst is None
 
 
+@pytest.mark.parametrize("tol", [0.0, 1.0])
+def test_verify_residuals_reports_lambda_and_tolerance_as_floats(tol):
+    # An int, a bool or a numpy scalar reads as its float, as in ConicSpec.
+    points = [LocusPoint(0.5, 0.5)]
+    expected = verify_residuals(points, ConicKind.ELLIPSE, 2.0, 1.0, tol)
+    for lam, given in (
+        (1, int(tol)),
+        (True, bool(tol)),
+        (np.float64(1.0), np.float64(tol)),
+        (np.int64(1), np.int64(tol)),
+    ):
+        report = verify_residuals(points, ConicKind.ELLIPSE, 2, lam, given)
+        assert repr(report) == repr(expected)
+        assert json.dumps(report.to_json_dict()) == json.dumps(expected.to_json_dict())
+
+
 def test_verify_residuals_nan_is_worst():
     # On-curve points, then two points whose residuals are nan, then a
     # point far off the curve: the first nan point stays the worst.
@@ -448,8 +464,7 @@ def test_verify_residuals_nan_is_worst():
         assert report.worst is bad
     report = verify_residuals([LocusPoint(math.nan, 1.0), LocusPoint(5.0, 1.0)], ConicKind.ELLIPSE, 2, 1.0)
     assert not report.passed
-    assert math.isnan(report.max_residual) and math.isnan(report.max_standard_residual)
-    assert report.worst == report.standard_worst
+    assert math.isnan(report.max_residual)
     assert math.isnan(report.worst.x)
 
 
@@ -459,10 +474,10 @@ def _report_by(find_worst, points, kind, lam, tol=1e-9, base_L=2.0):
     ``verify_residuals`` itself takes ``_worst_on_columns`` here, because
     the test process has loaded numpy; this calls either evaluation.
     """
-    (max_residual, worst), (max_standard, standard_worst) = find_worst(points, ConicSpec(kind, base_L, lam).family)
+    max_residual, worst = find_worst(points, ConicSpec(kind, base_L, lam).family)
     if worst is None:  # no points
-        max_residual = max_standard = 0.0
-    return VerificationReport(kind, base_L, lam, tol, max_residual, worst, max_standard, standard_worst)
+        max_residual = 0.0
+    return VerificationReport(kind, base_L, lam, tol, max_residual, worst)
 
 
 def _same_report(points, kind, lam, tol=1e-9):
@@ -482,7 +497,7 @@ def _same_report(points, kind, lam, tol=1e-9):
     ):
         # repr compares nan fields too, and shows a numpy scalar in the report.
         assert repr(by_columns) == repr(by_loop)
-        assert by_columns.worst is by_loop.worst and by_columns.standard_worst is by_loop.standard_worst
+        assert by_columns.worst is by_loop.worst
     assert repr(verify_residuals(_columns(points), kind, 2, lam, tol)) == repr(by_loop)
     return by_loop
 
@@ -516,10 +531,9 @@ def test_verify_residuals_loop_and_columns_agree(kind, lam, mirrored):
     points[3:3] = [LocusPoint(math.nan, 1.0), LocusPoint(5.0, 1.0), LocusPoint(math.nan, 0.5)]
     report = _same_report(points, kind, lam)
     assert math.isnan(report.worst.x) and report.worst.y == 1.0
-    assert report.standard_worst == report.worst
     # Of two equal maxima (mirror images), the first is the worst.
     report = _same_report(points[:3] + [LocusPoint(3.0, 1.0), LocusPoint(-3.0, 1.0)] + points[6:], kind, lam)
-    assert report.worst == report.standard_worst == LocusPoint(3.0, 1.0)
+    assert report.worst == LocusPoint(3.0, 1.0)
     # Across the first block boundary, the blocks combine by the loop's rule.
     # The worst point is the first of the second block.
     worst = LocusPoint(3.0, 1.0)
@@ -527,11 +541,11 @@ def test_verify_residuals_loop_and_columns_agree(kind, lam, mirrored):
     # Of equal maxima at i and _BLOCK + i, the first is the worst.
     first, second = LocusPoint(3.0, 1.0), LocusPoint(3.0, 1.0)
     report = _same_report(_two_blocks(samples, {5: first, _BLOCK + 5: second}), kind, lam)
-    assert report.worst is first and report.standard_worst is first
+    assert report.worst is first
     # A nan in the second block beats a larger finite residual in the first.
     nan = LocusPoint(math.nan, 1.0)
     report = _same_report(_two_blocks(samples, {5: LocusPoint(100.0, 1.0), _BLOCK + 7: nan}), kind, lam)
-    assert report.worst is nan and report.standard_worst is nan
+    assert report.worst is nan
     # Lower-branch points: the hyperbola reflects them, the other kinds
     # check them as they are.
     lowered = [LocusPoint(p.x, p.y, Branch.LOWER) for p in samples if p.branch is Branch.UPPER]
@@ -593,34 +607,26 @@ def test_verify_residuals_memory_stays_flat(as_list):
 
 
 def test_verify_residuals_overflow_is_an_infinite_residual():
-    # (y - c)**2 overflows; ``** 2`` used to raise OverflowError here.
+    # y*y overflows; ``** 2`` used to raise OverflowError here.
     report = _same_report([LocusPoint(1.0, 1e200)], ConicKind.ELLIPSE, 1.0)
     assert not report.passed
-    assert report.max_residual == report.max_standard_residual == math.inf
+    assert report.max_residual == math.inf
 
 
-# Below ~1.5e-162 a semi-axis's square underflows to 0: at lambda = 1 both
-# L/(2*lambda) and L/(2*sqrt(lambda)) do, at lambda = 1e-10 only the latter.
+# Below ~1.5e-162 the squares of the semi-axes L/(2*lambda) and
+# L/(2*sqrt(lambda)) underflow to 0: at lambda = 1 both do, at lambda = 1e-10
+# only the latter. The vertex form divides by neither, so both evaluations
+# give one report on either side of it. Whether it passes is ROADMAP item 7's.
 @pytest.mark.parametrize("kind", [ConicKind.ELLIPSE, ConicKind.HYPERBOLA])
-@pytest.mark.parametrize("lam, semi_axis", [(1.0, "L/(2*lambda)"), (1e-10, "L/(2*sqrt(lambda))")])
-def test_verify_residuals_rejects_a_semi_axis_whose_square_underflows(kind, lam, semi_axis):
-    def unread():
-        raise AssertionError("a point was read")
-        yield
-
-    message = f"({semi_axis})**2 for L = 1e-170, lambda = {lam} underflows the float range"
-    for find_worst in (_worst_in_loop, _worst_on_columns):
-        with pytest.raises(LocusError) as caught:
-            _report_by(find_worst, unread(), kind, lam, base_L=1e-170)
-        assert str(caught.value) == message
-    with pytest.raises(LocusError) as caught:
-        verify_residuals([LocusPoint(1e-170, 1e-171)], kind, 1e-170, lam)
-    assert str(caught.value) == message
-    # At L = 1e-160 the squares are subnormal, not 0, and the point verifies.
+@pytest.mark.parametrize("lam", [1.0, 1e-10])
+@pytest.mark.parametrize("base_L", [1e-170, 1e-160])
+def test_verify_residuals_gives_one_report_where_a_semi_axis_squared_underflows(kind, lam, base_L):
     points = [LocusPoint(1e-170, 1e-171)]
-    by_loop = _report_by(_worst_in_loop, points, kind, lam, base_L=1e-160)
-    assert by_loop.passed
-    assert repr(_report_by(_worst_on_columns, points, kind, lam, base_L=1e-160)) == repr(by_loop)
+    by_loop = _report_by(_worst_in_loop, points, kind, lam, base_L=base_L)
+    assert by_loop.worst is points[0]
+    assert repr(_report_by(_worst_on_columns, points, kind, lam, base_L=base_L)) == repr(by_loop)
+    assert repr(verify_residuals(points, kind, base_L, lam)) == repr(by_loop)
+    assert repr(verify_residuals(_columns(points), kind, base_L, lam)) == repr(by_loop)
 
 
 @pytest.mark.parametrize("kind, lam", KINDS)
@@ -651,7 +657,6 @@ def test_residuals_invariant_under_mirroring():
         base = verify_residuals(points, kind, 3, lam)
         doubled = verify_residuals(mirror(points), kind, 3, lam)
         assert doubled.max_residual == base.max_residual
-        assert doubled.max_standard_residual == base.max_standard_residual
 
 
 def test_hyperbola_branch_symmetry_algebraic():
@@ -666,12 +671,28 @@ def test_hyperbola_branch_symmetry_algebraic():
         assert residual <= 1e-9 * max(1.0, x * x)
 
 
-def test_standard_form_equivalence_on_samples():
-    for kind, lam in ((ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 1.5)):
-        points = sample_locus(kind, 2, SampleRange(0.2, 1.6, 9), lam)
-        report = verify_residuals(points, kind, 2, lam, tol=1e-9)
-        assert report.max_residual <= 1e-9 * 4.0
-        assert report.max_standard_residual <= 1e-8
+@pytest.mark.parametrize(
+    "kind, lam",
+    [
+        (ConicKind.ELLIPSE, 0.5),
+        (ConicKind.ELLIPSE, 1.0),
+        (ConicKind.ELLIPSE, 4.0),
+        (ConicKind.HYPERBOLA, 0.5),
+        (ConicKind.HYPERBOLA, 1.5),
+    ],
+)
+def test_sampled_loci_satisfy_the_standard_form_of_their_conic_spec(kind, lam):
+    # (y - c)**2/b**2 + s*x**2/a**2 = 1 about the center c, with s = +1 for
+    # the ellipse and -1 for the hyperbola, from ConicSpec's own fields.
+    spec = conic_params(kind, 2.0, lam)
+    top = 0.95 * 2.0 / lam if kind is ConicKind.ELLIPSE else 1.6  # the ellipse's far vertex is at L/lambda
+    points = mirror(sample_locus(kind, 2.0, SampleRange(0.05 * top, top, 9), lam))
+    assert verify_residuals(points, kind, 2.0, lam, tol=1e-9).passed
+    if kind is ConicKind.HYPERBOLA:
+        assert {p.branch for p in points} == {Branch.UPPER, Branch.LOWER}
+    sign = 1.0 if kind is ConicKind.ELLIPSE else -1.0
+    a2, b2, c = spec.semi_axis_x**2, spec.semi_axis_y**2, spec.center.y
+    assert max(abs((p.y - c) ** 2 / b2 + sign * p.x**2 / a2 - 1.0) for p in points) <= 1e-8
 
 
 def test_circle_specialization():
@@ -858,11 +879,21 @@ def test_csv_rejects_malformed(tmp_path):
 _ITEM_7 = "ROADMAP item 7: the checkers compare residuals of mixed scales"
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_7 + "; an area of 1e-12 passes below L = 1")
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_7 + "; a small area passes below L = 1")
 @pytest.mark.parametrize("find_worst", [_worst_in_loop, _worst_on_columns])
-def test_a_point_off_a_small_parabola_fails(find_worst):
-    # The true x at y = 1e-6 is 1e-6: x = 0 leaves 1e-12 against a threshold of 1e-9.
-    assert not _report_by(find_worst, [LocusPoint(0.0, 1e-6)], ConicKind.PARABOLA, None, base_L=1e-6).passed
+@pytest.mark.parametrize(
+    "kind, base_L, lam, point",
+    [
+        # The true x at y = 1e-6 is 1e-6: x = 0 leaves 1e-12 against a threshold of 1e-9.
+        (ConicKind.PARABOLA, 1e-6, None, LocusPoint(0.0, 1e-6)),
+        # The true x at y = 1e-171 is 3e-171: L*y - y**2 underflows to 0, and so
+        # does the residual of x = 0.
+        (ConicKind.ELLIPSE, 1e-170, 1.0, LocusPoint(0.0, 1e-171)),
+    ],
+    ids=["parabola", "ellipse-1e-170"],
+)
+def test_a_point_off_a_small_parabola_fails(find_worst, kind, base_L, lam, point):
+    assert not _report_by(find_worst, [point], kind, lam, base_L=base_L).passed
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=_ITEM_7 + "; the threshold ignores y")

@@ -112,34 +112,26 @@ NAN = float("nan")
 
 
 @pytest.mark.parametrize(
-    "kind, rows, residual, worst, standard, standard_worst",
+    "kind, rows, residual, worst",
     [
-        ("parabola", UPPER, 0.8500000000000001, [1.5, 0.7, "upper"], 0.8500000000000001, [1.5, 0.7, "upper"]),
-        ("ellipse", UPPER, 1.585, [1.5, 0.7, "upper"], 2.377499999999999, [1.5, 0.7, "upper"]),
-        ("hyperbola", UPPER, 0.11500000000000021, [1.5, 0.7, "upper"], 0.17249999999999854, [1.5, 0.7, "upper"]),
-        ("parabola", LOWER, 5.890000000000001, [1.3, -2.1, "lower"], 5.890000000000001, [1.3, -2.1, "lower"]),
-        ("ellipse", LOWER, 12.505, [1.3, -2.1, "lower"], 18.7575, [1.3, -2.1, "lower"]),
-        ("hyperbola", LOWER, 0.7250000000000008, [1.3, -2.1, "lower"], 1.0875000000000017, [1.3, -2.1, "lower"]),
-        ("parabola", INFINITE, INF, [0.25, INF, "upper"], INF, [0.25, INF, "upper"]),
+        ("parabola", UPPER, 0.8500000000000001, [1.5, 0.7, "upper"]),
+        ("ellipse", UPPER, 1.585, [1.5, 0.7, "upper"]),
+        ("hyperbola", UPPER, 0.11500000000000021, [1.5, 0.7, "upper"]),
+        ("parabola", LOWER, 5.890000000000001, [1.3, -2.1, "lower"]),
+        ("ellipse", LOWER, 12.505, [1.3, -2.1, "lower"]),
+        ("hyperbola", LOWER, 0.7250000000000008, [1.3, -2.1, "lower"]),
+        ("parabola", INFINITE, INF, [0.25, INF, "upper"]),
         # L*y - lam*y**2 is inf - inf = nan at y = inf; a nan residual is the worst.
-        ("ellipse", INFINITE, NAN, [0.25, INF, "upper"], INF, [0.25, INF, "upper"]),
-        ("hyperbola", INFINITE, INF, [0.25, INF, "upper"], INF, [0.25, INF, "upper"]),
+        ("ellipse", INFINITE, NAN, [0.25, INF, "upper"]),
+        ("hyperbola", INFINITE, INF, [0.25, INF, "upper"]),
     ],
 )
-def test_verify_bytes(tmp_path, capsys, kind, rows, residual, worst, standard, standard_worst):
+def test_verify_bytes(tmp_path, capsys, kind, rows, residual, worst):
     csv_path = tmp_path / "points.csv"
     csv_path.write_text("x,y,branch\n" + rows, encoding="utf-8")
     assert run(["verify", "--points", str(csv_path), *KIND_ARGS[kind], "--tol", "1e-9"]) == 2
     report = {"kind": kind, "base_L": 2.0}
     if kind != "parabola":
         report["lambda"] = 1.5
-    report.update(
-        tol=1e-09,
-        threshold=4e-09,
-        passed=False,
-        max_residual=residual,
-        worst=worst,
-        max_standard_residual=standard,
-        standard_worst=standard_worst,
-    )
+    report.update(tol=1e-09, threshold=4e-09, passed=False, max_residual=residual, worst=worst)
     assert capsys.readouterr().out == json.dumps(report) + "\n"

@@ -69,8 +69,6 @@ def _report():
         tol=1e-9,
         max_residual=0.5,
         worst=LocusPoint(1, 0.25),
-        max_standard_residual=0.5,
-        standard_worst=None,
     )
 
 
@@ -165,20 +163,8 @@ CASES = {
         _report,
         "VerificationReport(kind=<ConicKind.PARABOLA: 'parabola'>, base_L=2.0, lam=None, tol=1e-09, "
         "threshold=4e-09, passed=False, max_residual=0.5, "
-        "worst=LocusPoint(x=1.0, y=0.25, branch=<Branch.UPPER: 'upper'>), max_standard_residual=0.5, "
-        "standard_worst=None)",
-        (
-            "kind",
-            "base_L",
-            "lam",
-            "tol",
-            "threshold",
-            "passed",
-            "max_residual",
-            "worst",
-            "max_standard_residual",
-            "standard_worst",
-        ),
+        "worst=LocusPoint(x=1.0, y=0.25, branch=<Branch.UPPER: 'upper'>))",
+        ("kind", "base_L", "lam", "tol", "threshold", "passed", "max_residual", "worst"),
     ),
     "Arc": (
         lambda: Arc(circle=Circle(Point(0, 0), 1), start_angle=0, end_angle=3),
@@ -215,16 +201,7 @@ INIT_FIELDS = {
     "AreaFamily": ("kind", "base_L", "lam"),
     "ApplicationResult": ("spec", "square_side_g", "J", "figure_points", "trace"),
     "ConicSpec": ("kind", "base_L", "lam"),
-    "VerificationReport": (
-        "kind",
-        "base_L",
-        "lam",
-        "tol",
-        "max_residual",
-        "worst",
-        "max_standard_residual",
-        "standard_worst",
-    ),
+    "VerificationReport": ("kind", "base_L", "lam", "tol", "max_residual", "worst"),
 }
 
 
@@ -398,10 +375,10 @@ def test_application_spec_family_stays_out_of_repr_and_comparison():
 
 
 def test_derived_fields_are_computed_from_the_others():
-    report = VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 4e-9, None, 0.0, None)
+    report = VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 4e-9, None)
     assert (report.threshold, report.passed) == (4e-9, True)
     # The threshold is tol * max(1, L**2); a nan residual fails.
-    report = VerificationReport(ConicKind.PARABOLA, 0.5, None, 1e-9, math.nan, None, 0.0, None)
+    report = VerificationReport(ConicKind.PARABOLA, 0.5, None, 1e-9, math.nan, None)
     assert (report.threshold, report.passed) == (1e-9, False)
     result = ApplicationResult(ApplicationSpec(DEFICIENT, 4, 2, 0.5), 2.0, Point(2, 2), {}, _trace())
     assert (result.rect_base_b, result.area_X) == (3.0, 6.0)
@@ -486,7 +463,7 @@ def test_derived_fields_are_computed_from_the_others():
         (
             lambda: ApplicationSpec(EXACT, 1, 0),
             ConstructionError,
-            "rectangle height must be positive, got 0.0",
+            "rectangle height must be positive and finite, got 0.0",
         ),
         (
             lambda: ApplicationSpec(DEFICIENT, 1, 2, 0.5),
@@ -534,8 +511,8 @@ def test_validation_errors(make, error, message):
         lambda: ConicSpec(ConicKind.ELLIPSE, 1, 1, eccentricity=1.0),
         lambda: ConicSpec(ConicKind.HYPERBOLA, 2, 1, Point(0, -1)),
         lambda: ConicSpec(ConicKind.PARABOLA, 1, family=None),
-        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, 0.5, None, threshold=4e-9),
-        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, 0.5, None, passed=True),
+        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, threshold=4e-9),
+        lambda: VerificationReport(ConicKind.PARABOLA, 2.0, None, 1e-9, 0.5, None, passed=True),
         lambda: ApplicationResult(ApplicationSpec(EXACT, 4, 1), 2.0, Point(2, 1), {}, _trace(), rect_base_b=4.0),
         lambda: ApplicationResult(ApplicationSpec(EXACT, 4, 1), 2.0, Point(2, 1), {}, _trace(), area_X=4.0),
     ],
