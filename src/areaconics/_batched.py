@@ -31,8 +31,15 @@ component is zero in every row (a 0-d zero or an all-zero array), and
 ``np.hypot`` otherwise. On a nan, ``np.abs`` clears the sign that
 ``np.hypot`` keeps; only a failing height's values can hold a nan.
 
+Memory: a run allocates its columns afresh at every call, but the pages
+they take stay the process's between calls. Importing this module frees
+one untouched 2 MiB array, which makes glibc keep up to 4 MiB of freed
+heap instead of handing it back to the kernel after each run (see the
+comment at the allocation).
+
 Only ``locus.sample_locus`` imports this module, at its first call, so
-numpy stays off the import of every verb and sweep that does not run it.
+numpy stays off the import of every verb and sweep that does not run it,
+and so does the allocation.
 """
 
 from __future__ import annotations
@@ -45,6 +52,26 @@ import numpy as np
 
 from .constructions import _Program
 from .kernel import _NOT_FINITE, Point
+
+# Keep a run's heap pages between runs. A run of n <= locus._BLOCK heights
+# allocates ~25 float columns of n entries. Each is under glibc's 128 KiB
+# mmap threshold, so all come from the brk heap; together they peak at
+# 1.2-1.7 MiB traced at 6,310 and 8,192 heights. When the run frees them,
+# the free top of the heap exceeds the 128 KiB trim threshold, glibc gives
+# it back to the kernel, and the next run faults every page in again:
+# ~280-380 minor faults per sweep of 6,310 heights, ~390-540 at 8,192,
+# ~1.3-1.5 us each, on a 2-vCPU VM (Python 3.11, numpy 2.4, glibc 2.36).
+# mallopt(3), M_MMAP_THRESHOLD: freeing a block that was mmapped raises the
+# mmap threshold to its size and the trim threshold to twice that. So
+# freeing one 2 MiB array, above a run's peak, sets them to 2 MiB and
+# 4 MiB, and later runs reuse the same heap pages: 0 faults per sweep up
+# to 20,000 heights, and a sweep of 6,310 or 8,192 heights takes 46-66%
+# of its former time. ``np.empty`` writes no page, so the resident size
+# does not grow, and no result changes. It does nothing under other
+# allocators, in a process that has already freed a larger block, or where
+# the user set a threshold, top pad or mmap maximum (MALLOC_*_ variables,
+# GLIBC_TUNABLES or mallopt), which turns the dynamic thresholds off.
+np.empty(2 << 20, np.uint8)
 
 
 def _hypot(x: Any, y: Any) -> Any:

@@ -70,9 +70,10 @@ __all__ = [
 
 
 # Heights per run of the batched step program, and points per block of
-# ``verify_residuals``'s columns: memory stays flat in n. One run of 8,192
-# heights peaks at 2.0-2.2 MiB traced (tracemalloc, all three kinds); what
-# a run costs whatever its size, ~0.3-0.5 ms, is paid once per block.
+# ``verify_residuals``'s columns: memory stays flat in n. A sweep of 8,192
+# heights, one run, peaks at 1.5-1.7 MiB traced (tracemalloc, all three
+# kinds); what a run costs whatever its size, ~0.3-0.5 ms, is paid once
+# per block. The allocator keeps those pages between runs (``_batched``).
 _BLOCK = 8192
 
 
@@ -187,6 +188,9 @@ class SampleRange(_Value):
             raise LocusError(f"y_min must be nonnegative, got {y_min}")
         if not (y_min < y_max):
             raise LocusError(f"need y_min < y_max, got [{y_min}, {y_max}]")
+        # An infinite step: the first height, y_min + 0*step, would be NaN.
+        if y_max == math.inf:
+            raise LocusError(f"y_max must be finite, got {y_max}")
         if n < 2:
             raise LocusError(f"need at least 2 samples, got {n}")
         _bind(self, "y_min", y_min)
@@ -224,11 +228,11 @@ def _family(kind: ConicKind, base_L: float, lam: float | None) -> AreaFamily:
 def _sweep_family(kind: ConicKind, base_L: float, sample_range: SampleRange, lam: float | None) -> AreaFamily:
     """The area family of a sweep over ``sample_range``, whose application is valid at every height.
 
-    The heights ascend from y_min > 0 to y_max, inside the bounds checked
-    here, so the application's checks pass at every height if they pass at
-    the first (an infinite y_max makes the first height NaN, which the spec
-    rejects). Both sweeps, ``sample_locus`` and ``_sample_locus_floats``,
-    check their heights here.
+    The heights ascend from y_min > 0 to y_max, finite (``SampleRange``
+    rejects an infinite y_max) and inside the bounds checked here, so the
+    application's checks pass at every height if they pass at the first.
+    Both sweeps, ``sample_locus`` and ``_sample_locus_floats``, check their
+    heights here.
     """
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:

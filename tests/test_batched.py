@@ -1,8 +1,12 @@
 """The batched step interpreter against the scalar one, bit for bit."""
 
 import importlib.util
+import json
 import math
+import os
+import platform
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -151,8 +155,9 @@ def test_extension_error_matches_per_height_application():
 @pytest.mark.parametrize(
     "kind, base, lam, sample_range",
     [
-        # An infinite top height makes every other height NaN.
-        (ConicKind.PARABOLA, 1.0, None, SampleRange(1.0, math.inf, 3)),
+        # A top height near the float maximum: the first height passes, a
+        # later one overflows the construction.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(1.0, 1.7e308, 3)),
         (ConicKind.HYPERBOLA, 1.0, 1e308, SampleRange(1.0, 2.0, 2)),
     ],
 )
@@ -188,7 +193,7 @@ def test_the_float_sweep_equals_sample_locus(case, n):
     [
         # G snaps to the tangent foot A at the low heights.
         (ConicKind.PARABOLA, 1e-6, None, SampleRange(1e-8, 1.9e-6, 200)),
-        (ConicKind.HYPERBOLA, 1.0, 1.0, SampleRange(0.5, math.inf, 4)),
+        (ConicKind.HYPERBOLA, 1.0, 1.0, SampleRange(0.5, 1e308, 4)),
         (ConicKind.ELLIPSE, 2.0, 1.0, SampleRange(0.5, 3.0, 6)),
         # The applied base overflows at the first height: the given point
         # B⁺ = (inf, 0) is not finite.
@@ -679,3 +684,63 @@ def test_a_given_point_that_no_step_reads_is_still_checked():
         execute_batched(_compile(tuple(given), steps), given)
     assert_same_error(caught.value, expected.value)
     assert str(caught.value) == "point coordinates must be finite, got (inf, 0.0)"
+
+
+# Minor faults of each sweep, in a fresh process: one whose allocator has
+# not yet been tuned by a larger free.
+_FAULTS_PROBE = """
+import json, resource
+from areaconics.locus import ConicKind, SampleRange, sample_locus
+faults = {}
+for kind, lam in ((ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)):
+    for n in (6310, 8192):
+        sample_range, counts = SampleRange(0.1, 1.5, n), []
+        for _ in range(20):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            sample_locus(kind, 2.0, sample_range, lam)
+            counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        faults[f"{kind.value} {n}"] = counts
+print(json.dumps(faults))
+"""
+
+# The peak resident size (KiB on Linux) that importing ``_batched`` adds
+# once numpy and the modules it imports are loaded. After numpy's import
+# the resident size sits below the peak, so a ballast of written pages
+# first lifts it to the peak: past it, every page the import writes counts.
+_RSS_PROBE = """
+import resource, numpy, areaconics.constructions, areaconics.kernel
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+with open("/proc/self/statm") as statm:
+    resident = int(statm.read().split()[1]) * resource.getpagesize() // 1024
+ballast = numpy.ones(max(peak - resident, 0) * 1024, numpy.uint8)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+import areaconics._batched
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter with the allocator's defaults: no MALLOC_* or GLIBC_TUNABLES setting."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+
+needs_glibc = pytest.mark.skipif(
+    not (sys.platform == "linux" and platform.libc_ver()[0] == "glibc" and importlib.util.find_spec("resource")),
+    reason="counts page faults with resource.getrusage and relies on glibc's dynamic mmap threshold",
+)
+
+
+@needs_glibc
+def test_a_sweep_keeps_its_heap_pages_between_calls():
+    # Without the 2 MiB freed at _batched's import, glibc trims the heap
+    # after every run: ~250-550 faults per sweep at these sizes.
+    for case, counts in json.loads(_fresh_python(_FAULTS_PROBE)).items():
+        assert max(counts[3:]) < 16, (case, counts)
+
+
+@needs_glibc
+def test_importing_batched_writes_no_page_of_its_reservation():
+    # A written 2 MiB reservation would add 2,048 KiB.
+    assert int(_fresh_python(_RSS_PROBE)) < 1024

@@ -505,6 +505,15 @@ def test_locus_default_range_runs_from_its_first_to_its_last_height(tmp_path, fa
     assert (heights[0], heights[-1]) == (first, last)
 
 
+def test_locus_rejects_an_infinite_top_height(tmp_path, capsys):
+    csv_path = tmp_path / "never.csv"
+    argv = ["locus", "--kind", "parabola", "--base", "2", "--y-min", "0.1", "--y-max", "inf", "--samples", "3",
+            "--out", str(csv_path)]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == "areaconics: error: y_max must be finite, got inf\n"
+    assert not csv_path.exists()
+
+
 @pytest.mark.parametrize("given", [["--y-min", "0.5"], ["--y-max", "1.5"]])
 def test_locus_takes_both_ends_of_the_height_range_or_neither(tmp_path, capsys, given):
     csv_path = tmp_path / "never.csv"

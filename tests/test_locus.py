@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import tracemalloc
-import warnings
 from collections.abc import Sequence
 from pathlib import Path
 
@@ -163,12 +162,10 @@ def test_sweep_heights_are_the_grid_heights_bit_for_bit(seed):
             assert y.view(np.int64).tolist() == heights.view(np.int64).tolist()
 
 
-def test_an_infinite_top_height_fails_as_at_the_first_height():
-    # y_min + 0*inf is nan, without a numpy warning.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ConstructionError, match="rectangle height must be positive and finite, got nan"):
-            sample_locus(ConicKind.PARABOLA, 1.0, SampleRange(0.1, math.inf, 3))
+def test_an_infinite_top_height_is_rejected_by_the_range():
+    # Its grid step is infinite, so the first height y_min + 0*step would be nan.
+    with pytest.raises(LocusError, match=r"^y_max must be finite, got inf$"):
+        SampleRange(0.1, math.inf, 3)
 
 
 def test_sample_locus_feasibility():
