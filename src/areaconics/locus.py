@@ -13,14 +13,15 @@ closed forms live in ``ConicSpec`` and ``verify_residuals``, so
 construction-versus-equation agreement is a checked property rather
 than an assumption. ``fit_conic_oracle`` is an independent least-squares
 cross check on sampled points. A sweep returns its points as columns,
-a ``LocusSamples``. Once numpy is loaded, ``verify_residuals`` checks any
-points on columns, ``_BLOCK`` at a time; a process that has not loaded it
-checks them one at a time over floats, and every other function loops
-over the points. Only the code that sweeps over arrays, fits or reads the
-columns imports numpy, at its first call. ``_sample_locus_floats`` sweeps
-over floats, one height at a time, to the same points as a list, so code
-that needs few heights (the CLI up to a cutoff, the figures) never loads
-it.
+a ``LocusSamples``. Both checkers read points as columns, ``_BLOCK`` at a
+time, through one reader, ``_column_blocks``: ``fit_conic_oracle``
+always, ``verify_residuals`` once numpy is loaded; a process that has not
+loaded it verifies one point at a time over floats. Every other function
+loops over the points. Only the code that sweeps over arrays, fits or
+reads the columns imports numpy, at its first call.
+``_sample_locus_floats`` sweeps over floats, one height at a time, to the
+same points as a list, so code that needs few heights (the CLI up to a
+cutoff, the figures) never loads it.
 """
 
 from __future__ import annotations
@@ -70,10 +71,11 @@ __all__ = [
 
 
 # Heights per run of the batched step program, and points per block of
-# ``verify_residuals``'s columns: memory stays flat in n. A sweep of 8,192
-# heights, one run, peaks at 1.5-1.7 MiB traced (tracemalloc, all three
-# kinds); what a run costs whatever its size, ~0.3-0.5 ms, is paid once
-# per block. The allocator keeps those pages between runs (``_batched``).
+# columns read by both checkers (``_column_blocks``): memory stays flat in
+# n. A sweep of 8,192 heights, one run, peaks at 1.5-1.7 MiB traced
+# (tracemalloc, all three kinds), and a fit at ~1.0 MiB whatever its n;
+# what a run costs whatever its size, ~0.3-0.5 ms, is paid once per block.
+# The allocator keeps those pages between runs (``_batched``).
 _BLOCK = 8192
 
 
@@ -608,13 +610,19 @@ def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> tuple
 def _column_blocks(points: Iterable[LocusPoint], branches: bool) -> Iterator[tuple[Any, int, Any, Any, Any]]:
     """The points as columns, ``_BLOCK`` at a time: (block, start, x, y, lower) for each block.
 
-    The block's i-th point is ``block[start + i]``. For a list or any other
-    iterable, ``block`` is a list of the caller's own objects, read one
-    block at a time, so memory stays flat in the number of points, and
-    ``start`` is 0. A ``LocusSamples`` yields itself and slices of its
-    columns. ``lower``, the lower-branch mask, is built from points only
-    if ``branches`` asks for it, and is None otherwise.
+    Both checkers read their points here: ``verify_residuals`` on columns,
+    and ``fit_conic_oracle``. The block's i-th point is ``block[start + i]``.
+    For a list or any other iterable, ``block`` is a list of the caller's
+    own objects, read one block at a time, so memory stays flat in the
+    number of points, and ``start`` is 0; each coordinate is packed as
+    doubles with ``struct`` and read by ``np.frombuffer``, which beats
+    ``np.fromiter`` by a third. A ``LocusSamples`` yields itself and slices
+    of its columns. ``lower``, the lower-branch mask, is built from points
+    only if ``branches`` asks for it, and is None otherwise. The columns
+    read from points are read-only.
     """
+    import struct
+
     import numpy as np
 
     if isinstance(points, LocusSamples):
@@ -625,10 +633,10 @@ def _column_blocks(points: Iterable[LocusPoint], branches: bool) -> Iterator[tup
     lower_branch = Branch.LOWER
     rest = iter(points)
     while block := list(islice(rest, _BLOCK)):
-        n = len(block)
-        x = np.fromiter([p.x for p in block], float, n)
-        y = np.fromiter([p.y for p in block], float, n)
-        lower = np.fromiter([p.branch is lower_branch for p in block], bool, n) if branches else None
+        doubles = f"{len(block)}d"
+        x = np.frombuffer(struct.pack(doubles, *[p.x for p in block]))
+        y = np.frombuffer(struct.pack(doubles, *[p.y for p in block]))
+        lower = np.frombuffer(bytes([p.branch is lower_branch for p in block]), bool) if branches else None
         yield block, 0, x, y, lower
 
 
@@ -701,35 +709,52 @@ def fit_conic_oracle(
 ) -> tuple[float, float, float, float, float, float]:
     """Least-squares implicit conic through sampled points.
 
-    Builds the n-by-6 design matrix with rows (x^2, xy, y^2, x, y, 1),
-    column by column, and takes the right singular vector of the smallest
-    singular value, normalized so the largest-magnitude coefficient is +1.
-    The SVD is thin (U is n-by-6, never n-by-n), so time and memory are
-    O(n). Requires at least 6 points in general position; collinear or
-    otherwise degenerate input (a null space of dimension above one) is
-    rejected, and so is a non-finite coordinate or one whose square
-    overflows.
+    Reads the points ``_BLOCK`` at a time (``_column_blocks``), builds each
+    block's rows (x^2, xy, y^2, x, y, 1) of the design matrix, and keeps
+    only the 6-by-6 R factor of the rows so far: the QR of the previous R
+    stacked on the block (Chan's R-bidiagonalization, one block of rows at
+    a time as in tall-skinny QR). The right singular vector of R's
+    smallest singular value, those of the design matrix, is the fit,
+    normalized so the largest-magnitude coefficient is +1. Time is O(n)
+    and memory flat in n. Up to one block of 11 or more points the result
+    is the thin SVD's of the whole matrix bit for bit, since LAPACK's SVD
+    factors such a tall matrix by the same QR first. Requires at least 6
+    points in general position; collinear or otherwise degenerate input
+    (a null space of dimension above one) is rejected, and so is a
+    non-finite coordinate or one whose square overflows.
     """
     import numpy as np
 
     n = len(points)
     if n < 6:
         raise DegenerateFitError(f"need at least 6 points to pin down a conic, got {n}")
-    x = np.fromiter([p.x for p in points], float, n)
-    y = np.fromiter([p.y for p in points], float, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        design = np.column_stack((x * x, x * y, y * y, x, y, np.ones(n)))
-    finite = np.isfinite(design)
-    if not finite.all():
-        i = int(np.argmin(finite.all(axis=1)))
-        px, py = float(x[i]), float(y[i])
-        if math.isfinite(px) and math.isfinite(py):
-            raise LocusError(
-                f"point {i} ({px!r}, {py!r}) overflows the design matrix: "
-                f"the fit needs |x| and |y| at most {math.sqrt(np.finfo(float).max)!r}"
-            )
-        raise LocusError(f"point {i} ({px!r}, {py!r}) has a non-finite coordinate")
-    _, singular, vt = np.linalg.svd(design, full_matrices=False)
+    r = np.empty((0, 6))
+    offset = 0
+    for _, _, x, y, _ in _column_blocks(points, False):
+        # R's rows and the block's, stored transposed: the QR then copies
+        # each column of the stack from contiguous memory.
+        stacked = np.empty((6, len(r) + len(x)))
+        stacked[:, : len(r)] = r.T
+        design = stacked[:, len(r) :]
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(x, x, out=design[0])
+            np.multiply(x, y, out=design[1])
+            np.multiply(y, y, out=design[2])
+        design[3], design[4], design[5] = x, y, 1.0
+        finite = np.isfinite(design)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=0)))
+            px, py = float(x[i]), float(y[i])
+            i += offset
+            if math.isfinite(px) and math.isfinite(py):
+                raise LocusError(
+                    f"point {i} ({px!r}, {py!r}) overflows the design matrix: "
+                    f"the fit needs |x| and |y| at most {math.sqrt(np.finfo(float).max)!r}"
+                )
+            raise LocusError(f"point {i} ({px!r}, {py!r}) has a non-finite coordinate")
+        r = np.linalg.qr(stacked.T, mode="r")
+        offset += len(x)
+    singular, vt = np.linalg.svd(r)[1:]
     if singular[4] <= 1e-10 * singular[0]:
         raise DegenerateFitError("points do not determine a unique conic (degenerate configuration)")
     return normalize_conic_coefficients(vt[-1])
@@ -745,9 +770,9 @@ def write_locus_csv(points: Iterable[LocusPoint], path: str | FilePath) -> None:
 
 
 def read_locus_csv(path: str | FilePath) -> list[LocusPoint]:
-    """Read points from the ``x,y,branch`` CSV format."""
+    """Read points from the ``x,y,branch`` CSV format, with or without a UTF-8 byte-order mark."""
     points: list[LocusPoint] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [cell.strip().lower() for cell in header] != ["x", "y", "branch"]:

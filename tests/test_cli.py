@@ -198,6 +198,19 @@ def test_verify_reads_columns_written_to_csv_as_verify_residuals_does(tmp_path, 
     assert report.passed is (code == 0)
 
 
+def test_verify_reads_a_csv_that_starts_with_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    write_locus_csv(mirror(sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.2, 1.6, 9), 0.5)), plain)
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert read_locus_csv(marked) == read_locus_csv(plain)
+    printed = []
+    for path in (plain, marked):
+        argv = ["verify", "--points", str(path), "--kind", "hyperbola", "--base", "2", "--lambda", "0.5"]
+        assert run([*argv, "--tol", "1e-9"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+
+
 def test_params_json(capsys):
     assert run(["params", "--kind", "hyperbola", "--base", "2", "--lambda", "1"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -796,9 +796,13 @@ def test_fit_conic_oracle_rejects_non_finite_points():
 
 
 def _full_svd_fit(points):
-    """The fit as a full SVD of a row-built design matrix: the reference."""
+    """The fit as an SVD of the whole row-built design matrix: the reference.
+
+    The SVD is thin, so that the reference runs on several blocks of
+    points; its right singular vectors are those of the full SVD.
+    """
     rows = np.array([[p.x * p.x, p.x * p.y, p.y * p.y, p.x, p.y, 1.0] for p in points], dtype=float)
-    return normalize_conic_coefficients(np.linalg.svd(rows)[2][-1])
+    return normalize_conic_coefficients(np.linalg.svd(rows, full_matrices=False)[2][-1])
 
 
 @pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 2.0)])
@@ -813,19 +817,53 @@ def test_fit_conic_oracle_matches_full_svd(kind, lam, base, mirrored):
     assert fit_conic_oracle(points) == pytest.approx(_full_svd_fit(points), abs=1e-12)
 
 
-def test_fit_conic_oracle_memory_is_linear():
-    # A full SVD would ask for a 200k-by-200k U (298 GiB).
-    points = mirror(sample_locus(ConicKind.ELLIPSE, 2.0, SampleRange(1e-3, 1.999, 100_000), lam=1.0))
-    assert len(points) == 200_000
-    tracemalloc.start()
-    try:
-        fitted = fit_conic_oracle(points)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-    expected = conic_params(ConicKind.ELLIPSE, 2.0, 1.0).implicit_coefficients()
-    assert fitted == pytest.approx(expected, abs=1e-6)
+@pytest.mark.parametrize("kind, lam", [(ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 2.0)])
+@pytest.mark.parametrize("n", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+def test_a_fit_of_one_or_more_blocks_matches_the_svd_of_the_whole_matrix(kind, lam, n):
+    # The fit keeps only the R factor of the rows read so far, one block at a time.
+    samples = sample_locus(kind, 2.0, SampleRange(0.01, 0.95 * 2.0 / lam if lam < 1 else 3.0, n), lam)[:n]
+    assert isinstance(samples, LocusSamples) and len(samples) == n
+    points = list(samples)
+    fitted = fit_conic_oracle(points)
+    assert fitted == pytest.approx(_full_svd_fit(points), abs=1e-12)
+    # Columns are read in the same blocks as a list: the same fit, bit for bit.
+    assert fit_conic_oracle(samples) == fitted
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (LocusPoint(math.nan, 1.0), r"\(nan, 1.0\) has a non-finite coordinate"),
+        (LocusPoint(2e154, 1.0), r"\(2e\+154, 1.0\) overflows the design matrix"),
+    ],
+)
+def test_a_fit_names_a_bad_point_in_a_later_block_by_its_index_in_the_whole_input(as_list, bad, message):
+    points = list(sample_locus(ConicKind.ELLIPSE, 2, SampleRange(0.2, 1.8, 2 * _BLOCK + 3), lam=1))
+    index = _BLOCK + 7
+    points[index] = bad
+    with pytest.raises(LocusError, match=rf"point {index} {message}") as info:
+        fit_conic_oracle(points if as_list else _columns(points))
+    assert type(info.value) is LocusError
+
+
+def test_fit_conic_oracle_memory_stays_flat():
+    # A full SVD would ask for a 200k-by-200k U (298 GiB), and a thin one for
+    # a 200k-by-6 U; the fit holds one block's rows and a 6-by-6 R factor.
+    peaks = []
+    for heights in (10_000, 100_000):
+        points = mirror(sample_locus(ConicKind.ELLIPSE, 2.0, SampleRange(1e-3, 1.999, heights), lam=1.0))
+        assert len(points) == 2 * heights
+        tracemalloc.start()
+        try:
+            fitted = fit_conic_oracle(points)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        expected = conic_params(ConicKind.ELLIPSE, 2.0, 1.0).implicit_coefficients()
+        assert fitted == pytest.approx(expected, abs=1e-6)
+    assert peaks[1] < 4 * 2**20
+    assert peaks[1] <= peaks[0] + 2**20
 
 
 def test_oracle_agreement_all_kinds():
