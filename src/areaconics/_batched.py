@@ -12,16 +12,31 @@ the float run computes for that height alone.
 A coordinate that is the same at every height (A = (0, 0), B = (L, 0),
 the base corners' zero y) stays a numpy scalar, so an operation between
 two constants is one scalar operation, not one per height, and a run
-returns it as one.
+returns it as one. So does a value that the float expression would make
+a column of, where it is provably the same exact zero, or the same ±1,
+at every height whose checks pass (constant propagation, under IEEE
+754's signed zeros). The kernel asks ``constant`` and ``axis`` where:
+a ray component that is one exact zero gives ``_extend`` its coordinate
+(E's and I's y); a line through points whose difference is one exact
+zero and a column of one sign gets the direction (±1.0, that zero)
+(AG_line's); on a line along y, the circle-line foot's t0 is cy*uy and
+the crossings' x is foot_x ∓ ux. ``where`` returns one constant that
+both sides hold bit for bit (G's x). Each fold's comment shows that
+wherever it gives another value than the float expression, a check fails
+at that height, with the fold and without it. In a sweep of the pruned
+program this halves the array passes of a run: 54 / 65 / 65 against
+108 / 135 / 135 (parabola / ellipse / hyperbola; ``BENCH_29.json``).
 
-A run's checks do not stop it. Each check ANDs its mask into the run's
-one mask, and the run ends with one reduction. The given points are
-checked first, once per distinct column; each step checks the points it
-makes. Up to a height's first failing check its values are the float
-run's, so the lowest height the mask rejects is the first height that
-fails in floats; the error itself comes from one float run at that
-height (see ``execute_batched``). What a run computes past a failed
-check is discarded.
+A run's checks do not stop it. Each check records its mask, and ``ok``
+ANDs the masks recorded since it was last read in one reduction: once,
+at the run's end. A check on constants alone fails every height or none,
+in Python. The given points are checked first, once per distinct column;
+each step checks the points it makes. At a height whose checks pass its
+values are the float run's, and a height fails a check in the run if
+and only if it fails in floats, so the lowest height the mask rejects is
+the first height that fails in floats; the error itself comes from one
+float run at that height (see ``execute_batched``). What a run computes
+past a failed check is discarded.
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
@@ -45,13 +60,12 @@ and so does the allocation.
 from __future__ import annotations
 
 import math
-from types import SimpleNamespace
 from typing import Any
 
 import numpy as np
 
 from .constructions import _Program
-from .kernel import _NOT_FINITE, Point
+from .kernel import _NOT_FINITE, Point, _Namespace
 
 # Keep a run's heap pages between runs. A run of n <= locus._BLOCK heights
 # allocates ~25 float columns of n entries. Each is under glibc's 128 KiB
@@ -76,37 +90,78 @@ np.empty(2 << 20, np.uint8)
 
 def _hypot(x: Any, y: Any) -> Any:
     # A component with no nonzero entry: hypot(v, ±0) is |v|. A 0-d test
-    # is ~50 ns, where ``.any()`` even on a numpy scalar is a reduction.
-    for zero, other in ((y, x), (x, y)):
+    # is ~50 ns, where ``.any()`` even on a numpy scalar is a reduction, so
+    # a 0-d component is tested first.
+    for zero, other in ((x, y), (y, x)) if y.ndim > x.ndim else ((y, x), (x, y)):
         if not (zero.any() if zero.ndim else zero):
             return np.abs(other)
     return np.hypot(x, y)
 
 
-ARRAYS = SimpleNamespace(
+def _constant(v: Any) -> bool:
+    # A numpy scalar, or a float the kernel passes as a literal.
+    return not getattr(v, "ndim", 0)
+
+
+def _where(condition: Any, a: Any, b: Any) -> Any:
+    # The same constant on both sides, bit for bit, is the choice at every height.
+    if _constant(a) and _constant(b) and np.float64(a).tobytes() == np.float64(b).tobytes():
+        return a
+    return np.where(condition, a, b)
+
+
+def _axis(dx: Any, dy: Any) -> tuple[Any, Any] | None:
+    # With one component one exact zero, the norm is |other| (``_hypot``),
+    # so where other is finite and nonzero, other / norm is ±1.0 and zero /
+    # norm is zero itself. Where other is 0 the norm check fails. Where it is
+    # infinite or nan the quotient is nan, which fails the line's unit check
+    # that (±1.0, zero) would pass, so such a column keeps its quotients.
+    for zero, other in ((dy, dx), (dx, dy)):
+        if _constant(zero) and not zero and not _constant(other):
+            low, high = other.min(), other.max()
+            if -math.inf < low and high < math.inf and (low >= 0.0 or high <= 0.0):
+                one = np.float64(1.0 if low >= 0.0 else -1.0)
+                return (one, zero) if zero is dy else (zero, one)
+    return None
+
+
+ARRAYS = _Namespace(
     sqrt=np.sqrt,
     hypot=_hypot,
     maximum=np.maximum,
-    where=np.where,
+    where=_where,
     not_=np.logical_not,
+    constant=_constant,
+    axis=_axis,
 )
 
 
-class _Run(SimpleNamespace):
-    """``ARRAYS`` for one run, with checks that record: ``ok`` is every mask ANDed."""
+class _Run(_Namespace):
+    """``ARRAYS`` for one run, with checks that record their masks: ``ok`` ANDs them."""
 
     def __init__(self) -> None:
-        super().__init__(**vars(ARRAYS), ok=np.True_)
+        super().__init__(**vars(ARRAYS), masks=[], failed=False)
+
+    @property
+    def ok(self) -> Any:
+        """Every check's mask ANDed: one reduction over the masks recorded since the last read."""
+        if self.failed:
+            return np.False_
+        masks = self.masks
+        if len(masks) > 1:
+            masks[:] = [np.logical_and.reduce(masks)]
+        return masks[0] if masks else np.True_
 
     def check(self, ok: Any, error: type[Exception], message: str, *values: Any) -> None:
         if ok.ndim:
-            self.ok = self.ok & ok
+            self.masks.append(ok)
         # A 0-d mask, a check on constants alone, fails every height or none.
         elif not ok:
-            self.ok = np.False_
+            self.failed = True
 
     def check_finite(self, x: Any, y: Any) -> None:
-        self.check(np.isfinite(x) & np.isfinite(y), ValueError, _NOT_FINITE, x, y)
+        self.check(np.isfinite(x), ValueError, _NOT_FINITE, x, y)
+        self.check(np.isfinite(y), ValueError, _NOT_FINITE, x, y)
 
 
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
@@ -132,14 +187,15 @@ def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dic
         run.check(finite, ValueError, _NOT_FINITE)
     with np.errstate(all="ignore"):
         env = program.run(run, initial)
-    if run.ok.all():
+    ok = run.ok
+    if ok.all():
         return dict(zip(program.labels, env))
-    # No check fails at any height below i, and up to a height's first
-    # failing check the batched values are the float values bit for bit,
-    # so the float replay at height i raises what ``apply_*`` raises at the
-    # first failing height: a given point's error as ``Point`` raises it,
-    # the first in order, or a step's. A 0-d mask, from checks on constants
-    # alone, fails at every height and gives i = 0.
-    i = int(run.ok.argmin())
+    # No check fails at any height below i, and a height fails a check in
+    # the run exactly where it fails one in floats (see the module
+    # docstring), so the float replay at height i raises what ``apply_*``
+    # raises at the first failing height: a given point's error as
+    # ``Point`` raises it, the first in order, or a step's. A 0-d mask, from
+    # checks on constants alone, fails at every height and gives i = 0.
+    i = int(ok.argmin())
     program.replay([Point(*(c[i] if c.ndim else c for c in point), label) for label, point in zip(given, initial)])
     raise AssertionError(f"height {i} failed a batched check but passes the scalar construction")

@@ -10,8 +10,8 @@ the base along +x and rectangle heights along +y.
 Each primitive is written once, over a numeric namespace ``ns``.
 ``FLOATS`` runs them on float coordinates; ``_batched.ARRAYS`` runs them
 on numpy arrays with one entry per height, bit for bit equal to the float
-run at each height. A point is its (x, y), a circle (center, radius) and a
-line (anchor, (ux, uy)) with a unit direction.
+run at each height whose checks pass. A point is its (x, y), a circle
+(center, radius) and a line (anchor, (ux, uy)) with a unit direction.
 
 A namespace provides these methods; the primitives use nothing else of it:
 
@@ -23,7 +23,16 @@ A namespace provides these methods; the primitives use nothing else of it:
   ``_batched.execute_batched``);
 - ``check_finite(x, y)``, a point's finite check: it fails, as
   ``check`` does with ``Point``'s ``ValueError``, where x or y is not
-  finite.
+  finite;
+- ``constant(v)``, whether v is one value at every height, and
+  ``axis(dx, dy)``, the direction of (dx, dy) as two constants where it
+  runs along an axis at every height, else ``None``: the folds of a run
+  over arrays. There a primitive keeps a value that is the same exact
+  zero, or the same ±1, at every height whose checks pass as one constant
+  instead of a column; its comment shows that wherever a fold gives
+  another value than the float expression, a check fails at that height,
+  with the fold and without it. ``FLOATS`` sets both to ``None`` and folds
+  nothing, since a float run's values at a failing check name its error.
 
 Its numbers support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``abs`` and
 the comparisons ``<``, ``<=``, ``>``, ``==`` and ``!=``, which give masks;
@@ -38,7 +47,6 @@ from __future__ import annotations
 
 import math
 import operator
-from types import SimpleNamespace
 from typing import Any, Callable
 
 __all__ = [
@@ -196,7 +204,20 @@ def _check_finite(x: float, y: float) -> None:
         raise ValueError(_NOT_FINITE.format(x, y))
 
 
-FLOATS = SimpleNamespace(
+class _Namespace:
+    """A numeric namespace: the methods the module docstring names, as attributes.
+
+    Not a ``SimpleNamespace``: CPython 3.11 does not specialize a plain read
+    of its attributes, ~35 ns against ~5 ns on a plain instance, and a
+    float run of a kind's program reads ``constant`` or ``axis`` 7 times.
+    """
+
+    def __init__(self, **methods: Any) -> None:
+        for name, method in methods.items():
+            setattr(self, name, method)
+
+
+FLOATS = _Namespace(
     sqrt=math.sqrt,
     hypot=math.hypot,
     maximum=max,
@@ -204,6 +225,8 @@ FLOATS = SimpleNamespace(
     not_=operator.not_,
     check=_raise_unless,
     check_finite=_check_finite,
+    constant=None,
+    axis=None,
 )
 
 
@@ -239,13 +262,23 @@ def _extend(ns: Any, through: Any, frm: Any, dist: Any) -> tuple[Any, Any]:
     dx, dy = through[0] - frm[0], through[1] - frm[1]
     norm = ns.hypot(dx, dy)
     ns.check(norm != 0.0, DegenerateRayError, "ray through coincident points is undefined")
-    return _point(ns, through[0] + dist * dx / norm, through[1] + dist * dy / norm)
+    # A ray component that is one exact zero stays that zero: where both
+    # checks pass, dist * ±0 / norm is ±0. Where they pass and dist or norm
+    # is infinite or nan, the other component, whose |.| is the norm, makes
+    # the other coordinate infinite or nan, and the point's check fails.
+    constant = ns.constant
+    x = through[0] + (dx if constant and constant(dx) and not dx else dist * dx / norm)
+    y = through[1] + (dy if constant and constant(dy) and not dy else dist * dy / norm)
+    return _point(ns, x, y)
 
 
 def _line_through(ns: Any, p: Any, q: Any) -> tuple[Any, tuple[Any, Any]]:
     dx, dy = q[0] - p[0], q[1] - p[1]
     norm = ns.hypot(dx, dy)
     ns.check(norm != 0.0, DegenerateRayError, "cannot draw a line through coincident points")
+    axis = ns.axis and ns.axis(dx, dy)
+    if axis:
+        return _line(ns, p, *axis)
     return _line(ns, p, dx / norm, dy / norm)
 
 
@@ -272,7 +305,14 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     (center_x, center_y), radius = circle
     (ax, ay), (ux, uy) = line
     cx, cy = center_x - ax, center_y - ay
-    t0 = cx * ux + cy * uy
+    # On a line along y, ux one exact zero, cx*ux is ±0 wherever cx is
+    # finite, and ±0 + v is v for any v but -0.0, so t0 is cy*uy. Where cx
+    # is not finite, t0 is nan and the returned point fails; with t0 = cy*uy,
+    # hx is cx or nan, so h² is infinite (a miss) or the gap nan (a nan y).
+    constant = ns.constant
+    upright = constant and constant(ux) and not ux
+    along = cy * uy
+    t0 = along if upright and constant(along) and (along or math.copysign(1.0, along) > 0.0) else cx * ux + along
     foot_x = ax + t0 * ux
     foot_y = ay + t0 * uy
     hx, hy = center_x - foot_x, center_y - foot_y
@@ -283,8 +323,11 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     band = ns.maximum(_EPS_ABS, _EPS_REL * r2)
     tangent = gap <= band
     half = ns.sqrt(ns.where(tangent, 0.0, gap))
-    low = (foot_x - half * ux, foot_y - half * uy)
-    high = (foot_x + half * ux, foot_y + half * uy)
+    # half is +0 or positive and finite, or nan on a nan gap, where y is nan
+    # and the returned point fails; so where ux is one exact zero, half*ux is ux.
+    shift_x, shift_y = ux if upright else half * ux, half * uy
+    low = (foot_x - shift_x, foot_y - shift_y)
+    high = (foot_x + shift_x, foot_y + shift_y)
     low_last = (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
     return gap < -band, tangent, (foot_x, foot_y), low, high, low_last
 

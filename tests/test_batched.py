@@ -188,6 +188,38 @@ def test_the_float_sweep_equals_sample_locus(case, n):
     assert sweep_or_error(_sample_locus_floats, kind, base, sample_range, lam) == expected
 
 
+@st.composite
+def extreme_sweeps(draw):
+    """A conic, L and lambda in [1e-300, 1e300], and 2-200 heights inside its valid range.
+
+    The range's top, L/lambda for the ellipse and 10*L otherwise, stays
+    within 1e-300..1e301; the heights reach down to 1e-9 of it.
+    """
+    kind = draw(st.sampled_from(list(ConicKind)))
+    exponent = draw(st.floats(-300.0, 300.0))
+    base = 10.0**exponent
+    lam = None
+    if kind is not ConicKind.PARABOLA:
+        lam = 10.0 ** draw(st.floats(max(-300.0, exponent - 300.0), min(300.0, exponent + 300.0)))
+    top = base / lam if kind is ConicKind.ELLIPSE else 10.0 * base
+    low, high = sorted(draw(st.floats(-9.0, -1e-3)) for _ in range(2))
+    y_min, y_max = top * 10.0**low, top * 10.0**high
+    if not y_min < y_max:
+        y_max = y_min * 2.0 if kind is not ConicKind.ELLIPSE else math.nextafter(y_min, math.inf)
+    return kind, base, lam, SampleRange(y_min, y_max, draw(st.integers(2, 200)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extreme_sweeps())
+@example((ConicKind.PARABOLA, 1e150, None, SampleRange(1e149, 2e154, 50)))
+@example((ConicKind.ELLIPSE, 1e-170, 1.0, SampleRange(1e-180, 5e-171, 20)))
+@example((ConicKind.HYPERBOLA, 1e-300, 1e300, SampleRange(1e-309, 1e-301, 7)))
+def test_the_float_sweep_equals_sample_locus_at_extreme_scales(case):
+    kind, base, lam, sample_range = case
+    expected = sweep_or_error(sample_locus, kind, base, sample_range, lam)
+    assert sweep_or_error(_sample_locus_floats, kind, base, sample_range, lam) == expected
+
+
 @pytest.mark.parametrize(
     "kind, base, lam, sample_range",
     [
@@ -290,6 +322,47 @@ def test_the_pruned_sweep_program_returns_and_fails_as_the_full_program(case):
     for label in ("G", "I"):
         for got, want in zip(pruned[label], full[label], strict=True):
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), label
+
+
+def spread(given):
+    """The given coordinates, each broadcast to a column of the run's length."""
+    coords = iter(np.broadcast_arrays(*(c for point in given.values() for c in point)))
+    return dict(zip(given, zip(coords, coords)))
+
+
+def assert_constants_run_as_columns(program, given):
+    """A run on ``given``, whose constant coordinates are numpy scalars, equals
+    the run on the same coordinates as columns: every labelled value bit for
+    bit, or the same error."""
+    constants = run_batched(program, given)
+    columns = run_batched(program, spread(given))
+    if isinstance(columns, Exception):
+        assert_same_error(constants, columns)
+        return
+    assert not isinstance(constants, Exception), constants
+    for label, entity in columns.items():
+        for leaf, column in zip(_numbers(constants[label]), _numbers(entity), strict=True):
+            got = np.broadcast_to(leaf, column.shape).view(np.uint64)
+            assert got.tolist() == column.view(np.uint64).tolist(), label
+
+
+@settings(max_examples=300, deadline=None)
+@given(extreme_families(), st.sampled_from(["full", "sweep"]))
+@example((ApplicationKind.EXACT, 1e-6, None, [1e-8, 1e-6]), "sweep")
+@example((ApplicationKind.EXACT, 1e150, None, [1e150, 2e154]), "full")
+@example((ApplicationKind.EXCESS, 1.0, 1e300, [1e-300, 1.0]), "sweep")
+# The applied base b = L - lambda*y is negative at every height, or only at some.
+@example((ApplicationKind.DEFICIENT, 1.0, 1.0, [2.0, 3.0]), "full")
+@example((ApplicationKind.DEFICIENT, 1.0, 1.0, [0.25, 2.0]), "full")
+def test_the_sweeps_constant_given_coordinates_run_as_their_columns(case, program):
+    # The sweep's own given points keep A, B and the base corners' y as
+    # numpy scalars; the same coordinates broadcast to columns are run as
+    # arrays throughout. Every labelled value matches bit for bit, or both
+    # raise the same error.
+    kind, base, lam, heights = case
+    with np.errstate(all="ignore"):
+        given = _given_coordinates(AreaFamily(kind, base, lam), np.array(heights))
+    assert_constants_run_as_columns((_PROGRAMS if program == "full" else SWEEP_PROGRAMS)[kind], given)
 
 
 def test_the_sweep_keeps_I_whose_check_fails_a_height_snapped_to_the_tangent_foot():
@@ -547,21 +620,104 @@ def test_constant_coordinates_come_back_as_numpy_scalars(kind, lam):
     family = AreaFamily(kind, 2.0, lam)
     given = _given_coordinates(family, np.array([0.5, 1.0, 1.5]))
     program = _PROGRAMS[kind]
-    coords = iter(np.broadcast_arrays(*(c for point in given.values() for c in point)))
-    spread = execute_batched(program, dict(zip(given, zip(coords, coords))))
-
-    def leaves(entity):
-        if isinstance(entity, tuple):
-            return [leaf for part in entity for leaf in leaves(part)]
-        return [entity]
-
+    columns = execute_batched(program, spread(given))
     env = execute_batched(program, given)
     # A = (0, 0) is the same at every height.
     assert all(isinstance(c, np.float64) for c in env["A"])
     for label, entity in env.items():
-        for leaf, expected in zip(leaves(entity), leaves(spread[label]), strict=True):
+        for leaf, expected in zip(_numbers(entity), _numbers(columns[label]), strict=True):
             assert np.ndim(leaf) == 0 or (isinstance(leaf, np.ndarray) and leaf.shape == (3,)), label
             assert np.broadcast_to(leaf, (3,)).view(np.uint64).tolist() == expected.view(np.uint64).tolist(), label
+
+
+@pytest.mark.parametrize("kind, lam", [(ApplicationKind.EXACT, None), (ApplicationKind.DEFICIENT, 0.5), (ApplicationKind.EXCESS, 0.5)])
+def test_a_sweep_run_keeps_the_axis_parallel_zeros_and_ones_as_scalars(kind, lam):
+    # The base line runs along +x and AG_line along +y, so at every valid
+    # height E's and F's y, AG_line's direction and G's x are exact zeros
+    # and ones; a run keeps each as one numpy scalar, not a column.
+    given = _given_coordinates(AreaFamily(kind, 2.0, lam), np.linspace(0.1, 1.5, 50))
+    env = execute_batched(SWEEP_PROGRAMS[kind], given)
+    (ux, uy) = env["AG_line"][1]
+    scalars = {"E.y": env["E"][1], "F.y": env["F"][1], "AG_line.ux": ux, "AG_line.uy": uy, "G.x": env["G"][0]}
+    assert {name: type(value) for name, value in scalars.items()} == dict.fromkeys(scalars, np.float64)
+    assert [float(value).hex() for value in scalars.values()] == [v.hex() for v in (0.0, 0.0, -0.0, 1.0, 0.0)]
+
+
+# Coordinates around the signed zeros and the axes: a given coordinate is
+# one of these as a constant, or a column of them (with two that overflow
+# a difference), so that every fold meets +0.0 and -0.0 on either side.
+_SIGNED = [0.0, -0.0, 1.0, -1.0, 2.5, -2.5]
+_SIGNED_PROGRAMS = {
+    "extend": (
+        ("T", "F", "P", "Q"),
+        (step(StepOp.EXTEND, ("T", "F", "P", "Q"), "X"),),
+    ),
+    "perpendicular": (
+        ("T", "P", "Q"),
+        (step(StepOp.ERECT_PERPENDICULAR, ("T", "P", "Q"), "l"),),
+    ),
+    "intersection": (
+        ("O", "R", "T", "P", "Q"),
+        (
+            step(StepOp.DESCRIBE_CIRCLE, ("O", "O", "R"), "c"),
+            step(StepOp.ERECT_PERPENDICULAR, ("T", "P", "Q"), "l"),
+            step(StepOp.INTERSECT_CIRCLE_LINE, ("c", "l"), "X"),
+        ),
+    ),
+}
+
+
+@st.composite
+def signed_configurations(draw):
+    """A small program and its given points: each coordinate a constant, or a column of 1-4 rows."""
+    name = draw(st.sampled_from(sorted(_SIGNED_PROGRAMS)))
+    labels, steps = _SIGNED_PROGRAMS[name]
+    rows = draw(st.integers(1, 4))
+    column = st.lists(st.sampled_from([*_SIGNED, 1e308, -1e308]), min_size=rows, max_size=rows).map(np.array)
+    coordinate = st.one_of(st.sampled_from(_SIGNED).map(np.float64), column)
+    given = {label: (draw(coordinate), draw(coordinate)) for label in labels}
+    if all(np.ndim(c) == 0 for point in given.values() for c in point):
+        given[labels[0]] = (np.full(rows, given[labels[0]][0]), given[labels[0]][1])
+    return steps, given
+
+
+@settings(max_examples=500, deadline=None)
+@given(signed_configurations())
+# The line x = -0.0, along -y, touches both circles: cy*uy is -0.0, so t0 is
+# +0.0 or -0.0 with the sign of cx, and so is the foot (-0.0 + t0*uy) returned.
+@example((_SIGNED_PROGRAMS["intersection"][1], {
+    "O": (np.array([-1.0, 1.0]), np.float64(0.0)),
+    "R": (np.float64(0.0), np.float64(0.0)),
+    "T": (np.float64(-0.0), np.float64(-0.0)),
+    "P": (np.float64(2.5), np.float64(0.0)),
+    "Q": (np.float64(1.0), np.float64(0.0)),
+}))
+# The line x = -0.0, along -y, cuts both circles: the foot's x is -0.0, so the
+# crossings' x, -0.0 -+ -0.0, are +0.0 (low, the highest, returned) and -0.0.
+@example((_SIGNED_PROGRAMS["intersection"][1], {
+    "O": (np.array([1.0, -1.0]), np.float64(-0.0)),
+    "R": (np.array([-1.5, 1.5]), np.float64(-0.0)),
+    "T": (np.float64(-0.0), np.float64(0.0)),
+    "P": (np.float64(2.5), np.float64(0.0)),
+    "Q": (np.float64(1.0), np.float64(0.0)),
+}))
+# The difference Q - P overflows at row 1: its direction is nan there, and the
+# line's unit check fails, though the other component is an exact zero.
+@example((_SIGNED_PROGRAMS["perpendicular"][1], {
+    "T": (np.array([0.0, -1e308]), np.float64(0.0)),
+    "P": (np.array([0.0, -1e308]), np.float64(0.0)),
+    "Q": (np.array([1.0, 1e308]), np.float64(0.0)),
+}))
+# A ray from F at y = +0.0 through T at y = -0.0: its y component, and X's y, are -0.0.
+@example((_SIGNED_PROGRAMS["extend"][1], {
+    "T": (np.array([1.0, 2.5]), np.float64(-0.0)),
+    "F": (np.float64(0.0), np.float64(0.0)),
+    "P": (np.float64(0.0), np.float64(0.0)),
+    "Q": (np.float64(1.0), np.float64(0.0)),
+}))
+def test_constant_coordinates_around_signed_zeros_run_as_their_columns(case):
+    steps, given = case
+    assert_constants_run_as_columns(_compile(tuple(given), steps), given)
 
 
 def test_a_failure_at_the_last_height_runs_the_float_program_once(monkeypatch):
