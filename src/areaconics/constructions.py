@@ -186,6 +186,12 @@ class ConstructionTrace(_Value):
     defined before use, outputs unique) is enforced when the trace is
     executed, so malformed traces can be represented and then rejected
     with a precise error.
+
+    A trace whose given labels, in order, and steps are one kind's
+    program's source is that kind's application. It is recognised once,
+    when the trace is built, as ``_kind`` (else None), which ``to_json``
+    and ``replay_trace`` read; ``_kind`` is left out of ``==``, ``hash``
+    and ``repr``.
     """
 
     __match_args__ = ("initial", "steps")
@@ -197,6 +203,8 @@ class ConstructionTrace(_Value):
                 raise MalformedTraceError("initial points must be labeled")
         _bind(self, "initial", initial)
         _bind(self, "steps", steps)
+        kind = _KINDS.get(tuple([p.label for p in initial]))
+        _bind(self, "_kind", kind if kind is not None and steps == _STEPS[kind] else None)
 
     def to_json_dict(self) -> dict[str, Any]:
         return {
@@ -215,19 +223,16 @@ class ConstructionTrace(_Value):
     def to_json(self, indent: int | None = None) -> str:
         """The trace as JSON text: ``json.dumps(self.to_json_dict(), indent=indent)``.
 
-        The compact form of a trace that holds its kind's very step tuple
-        (an application's, or one ``from_json`` read from compact text) is
-        that text byte for byte, written from the kind's step text, encoded
-        once at import, and its given points, each from one entry template:
-        a ``Point`` holds finite floats, which ``json`` writes as ``%r`` does.
+        The compact form of an application's trace is that text byte for
+        byte, written from its kind's step text, encoded once at import,
+        and its given points, each from one entry template: a ``Point``
+        holds finite floats, which ``json`` writes as ``%r`` does.
         """
-        if indent is None:
-            for kind, steps in _STEPS.items():
-                if self.steps is steps:
-                    texts = _LABEL_TEXTS
-                    given = [_ENTRY % (texts.get(p.label) or json.dumps(p.label), p.x, p.y) for p in self.initial]
-                    return _INITIAL_KEY + "[" + ", ".join(given) + "]" + _STEP_TEXTS[kind]
-        return json.dumps(self.to_json_dict(), indent=indent)
+        kind = self._kind
+        if kind is None or indent is not None:
+            return json.dumps(self.to_json_dict(), indent=indent)
+        given = [_ENTRY % (_LABEL_TEXTS[p.label], p.x, p.y) for p in self.initial]
+        return _INITIAL_KEY + "[" + ", ".join(given) + "]" + _STEP_TEXTS[kind]
 
     @classmethod
     def from_json_dict(cls, data: Any) -> ConstructionTrace:
@@ -247,8 +252,9 @@ class ConstructionTrace(_Value):
         points are read as ``from_json_dict`` reads them, and the trace
         holds the kind's step tuple. Any other text (``bytes``, an indented
         one, or a middle that does not decode) is decoded whole, and each
-        step built and validated: the trace holds equal steps. Either way
-        the trace, or the error, is the same.
+        step built by ``ConstructionStep``: the trace holds equal steps.
+        Either way the trace, or the error, is the same, and the trace
+        knows its kind if it is an application's.
         """
         if isinstance(text, str) and text.startswith(_INITIAL_KEY):
             for kind, tail in _STEP_TEXTS.items():
@@ -276,8 +282,8 @@ def _entries(read: Callable[[Any], Any], entries: Any) -> tuple[Any, ...]:
 
 
 def _point_from_json(entry: Any) -> Point:
-    """The given point a trace document's entry holds, each field checked."""
-    return Point(_coordinate(entry["x"]), _coordinate(entry["y"]), _string(entry["label"], "point label"))
+    """The given point a trace document's entry holds; ``Point`` checks its label."""
+    return Point(_coordinate(entry["x"]), _coordinate(entry["y"]), entry["label"])
 
 
 def _coordinate(value: Any) -> float:
@@ -288,28 +294,15 @@ def _coordinate(value: Any) -> float:
     return float(value)
 
 
-def _string(value: Any, what: str) -> str:
-    """A trace document's label or citation, which must be a JSON string."""
-    if not isinstance(value, str):
-        raise MalformedTraceError(f"{what} must be a JSON string, got {value!r}")
-    return value
-
-
 def _step_from_json(entry: Any) -> ConstructionStep:
-    """The step a trace document's entry holds, built field by field and validated."""
-    op = StepOp(entry["op"])
+    """The step a trace document's entry holds; ``ConstructionStep`` checks its labels and citation."""
     names = entry["inputs"]
     if not isinstance(names, list):
         # A non-iterable fails here with its TypeError; a string or an
         # object would otherwise be split into labels.
         iter(names)
         raise MalformedTraceError(f"step inputs must be a JSON array, got {names!r}")
-    return ConstructionStep(
-        op,
-        [_string(name, "step input label") for name in names],
-        _string(entry["output"], "step output label"),
-        _string(entry["citation"], "step citation"),
-    )
+    return ConstructionStep(StepOp(entry["op"]), names, entry["output"], entry["citation"])
 
 
 class _Program(NamedTuple):
@@ -329,12 +322,14 @@ class _Program(NamedTuple):
     ops: tuple[Callable[[Any, list[Any]], Any], ...]
 
     def run(self, ns: Any, initial: list[Any]) -> list[Any]:
-        """Every slot's value, from the initial points' (x, y).
+        """Every slot's value, from the initial points' (x, y), over ``ns``.
 
-        The caller has checked the initial points: ``replay`` takes
-        ``Point``s, ``_batched.execute_batched`` checks its given columns,
-        and ``locus._sweep_floats`` each height's given points. Each step
-        checks the points it makes.
+        ``ns`` is ``FLOATS`` or one batched run's namespace
+        (``_batched._Run``). Labels and input kinds were checked when the
+        program was compiled; the caller has checked the initial points:
+        ``replay`` takes ``Point``s, ``_batched.execute_batched`` checks
+        its given columns, and ``locus._sweep_floats`` each height's given
+        points. Each step checks the points it makes.
         """
         env = list(initial)
         for op in self.ops:
@@ -394,21 +389,13 @@ def _compile(
 def replay_trace(trace: ConstructionTrace) -> dict[str, Point]:
     """Execute a trace and return its labeled points.
 
-    An application's trace runs on its kind's compiled program, which it
-    matches whole: the given labels in order, and every step. Any other
-    trace is compiled. Either way the whole trace is checked before any
-    step runs. Replay is deterministic: the same trace always reproduces
-    identical coordinates, bit for bit.
+    An application's trace, recognised when it was built, runs on its
+    kind's compiled program; any other trace is compiled. Either way the
+    whole trace is checked before any step runs. Replay is deterministic:
+    the same trace always reproduces identical coordinates, bit for bit.
     """
-    source = (tuple([p.label for p in trace.initial]), trace.steps)
-    for program in _PROGRAMS.values():
-        # An application's steps, and those ``from_json`` reads from its compact
-        # text, are its kind's very step tuple, which tuple equality matches by
-        # identity; equal steps read otherwise are compared field by field.
-        if program.source == source:
-            break
-    else:
-        program = _compile(*source)
+    kind = trace._kind
+    program = _PROGRAMS[kind] if kind is not None else _compile(tuple([p.label for p in trace.initial]), trace.steps)
     return program.replay(trace.initial)
 
 
@@ -601,17 +588,13 @@ def _construction_steps(base_corner: str) -> tuple[ConstructionStep, ...]:
     )
 
 
-# The step program of each kind, built, validated and compiled once, and the
+# The step program of each kind, built, validated and compiled once; the kind
+# of each program's given labels, which ``ConstructionTrace`` looks up; and the
 # end of its compact trace text, from ``"steps"`` on, encoded from its steps as
 # ``to_json_dict`` writes them, for ``to_json`` to write and ``from_json`` to
 # recognise. ``to_json`` writes a given point's entry from ``_ENTRY`` and its
 # label's text, encoded once for the programs' given labels.
 _STEPS = {kind: _construction_steps("B" + _CORNER_SUFFIX[kind]) for kind in ApplicationKind}
-_INITIAL_KEY = '{"initial": '
-_STEP_TEXTS = {
-    kind: ', "steps": ' + json.dumps(ConstructionTrace((), steps).to_json_dict()["steps"]) + "}"
-    for kind, steps in _STEPS.items()
-}
 _PROGRAMS = {
     family.kind: _compile(tuple(_given_coordinates(family, 1.0)), _STEPS[family.kind])
     for family in (
@@ -620,8 +603,14 @@ _PROGRAMS = {
         AreaFamily(ApplicationKind.EXCESS, 1.0, 1.0),
     )
 }
+_KINDS = {program.source[0]: kind for kind, program in _PROGRAMS.items()}
+_INITIAL_KEY = '{"initial": '
+_STEP_TEXTS = {
+    kind: ', "steps": ' + json.dumps(ConstructionTrace((), steps).to_json_dict()["steps"]) + "}"
+    for kind, steps in _STEPS.items()
+}
 _ENTRY = '{"label": %s, "x": %r, "y": %r}'
-_LABEL_TEXTS = {label: json.dumps(label) for program in _PROGRAMS.values() for label in program.source[0]}
+_LABEL_TEXTS = {label: json.dumps(label) for labels in _KINDS for label in labels}
 # Each kind's program pruned to the labels a sweep reads: G, whose |AG| is a
 # locus point's x, and I, whose check fails a height where G snapped to the
 # tangent foot A (see ``locus.sample_locus``). Both sweeps, over floats and

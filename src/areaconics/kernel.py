@@ -8,9 +8,11 @@ canonical frame places the base segment endpoint A at the origin with
 the base along +x and rectangle heights along +y.
 
 Each primitive is written once, over a numeric namespace ``ns``.
-``FLOATS`` runs them on float coordinates; ``_batched.ARRAYS`` runs them
-on numpy arrays with one entry per height, bit for bit equal to the float
-run at each height whose checks pass. A point is its (x, y), a circle
+``FLOATS`` runs them on float coordinates; ``_batched._Run``, one run's
+namespace, runs them on numpy arrays with one entry per height, bit for
+bit equal to the float run at each height whose checks pass. It is
+``_batched.ARRAYS``, which has no ``check`` or ``check_finite``, plus
+the run's own checks. A point is its (x, y), a circle
 (center, radius) and a line (anchor, (ux, uy)) with a unit direction.
 
 A namespace provides these methods; the primitives use nothing else of it:

@@ -477,7 +477,7 @@ def max_applicable_area(base_L: float, lam: float) -> tuple[float, float]:
     applied to half the segment. An area that a float cannot hold (it
     overflows, or underflows to 0) raises LocusError.
     """
-    family = _family(ConicKind.ELLIPSE, base_L, float(lam))
+    family = _family(ConicKind.ELLIPSE, base_L, lam)
     base_L, lam = family.base_L, family.lam
     area = _max_area(base_L, lam)
     if not (0.0 < area < math.inf):  # L*L may over- or underflow where the area does not

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -514,19 +516,22 @@ def test_trace_coordinates_must_be_json_numbers(x, message):
 @pytest.mark.parametrize(
     "edits, message",
     [
-        ({("initial", 1, "label"): None}, "point label must be a JSON string, got None"),
-        ({("initial", 1, "label"): 7}, "point label must be a JSON string, got 7"),
-        ({("steps", 0, "inputs"): ["A", 7]}, "step input label must be a JSON string, got 7"),
-        ({("steps", 0, "inputs"): [None, "B"]}, "step input label must be a JSON string, got None"),
-        ({("steps", 0, "output"): None}, "step output label must be a JSON string, got None"),
-        ({("steps", 0, "output"): 7}, "step output label must be a JSON string, got 7"),
-        ({("steps", 0, "citation"): 10}, "step citation must be a JSON string, got 10"),
-        ({("steps", 0, "citation"): None}, "step citation must be a JSON string, got None"),
-        ({("steps", 0, "citation"): True}, "step citation must be a JSON string, got True"),
-        # Checked in order: x, y, label; then op, inputs, output, citation.
+        # The value types' own messages: Point's wrapped as a document error.
+        ({("initial", 1, "label"): None}, "initial points must be labeled"),
+        ({("initial", 1, "label"): 7}, "invalid trace document: point label must be a string or None, got 7"),
+        ({("steps", 0, "inputs"): ["A", 7]}, "step input label must be a string, got 7"),
+        ({("steps", 0, "inputs"): [None, "B"]}, "step input label must be a string, got None"),
+        ({("steps", 0, "output"): None}, "step output label must be a string, got None"),
+        ({("steps", 0, "output"): 7}, "step output label must be a string, got 7"),
+        ({("steps", 0, "citation"): 10}, "step citation must be a string, got 10"),
+        ({("steps", 0, "citation"): None}, "step citation must be a string, got None"),
+        ({("steps", 0, "citation"): True}, "step citation must be a string, got True"),
+        # Checked in order: a point's x and y, then Point's checks; a step's
+        # inputs array and op, then ConstructionStep's: arity, input labels,
+        # output, citation.
         ({("initial", 1, "label"): None, ("initial", 1, "y"): "0"}, "trace coordinate must be a JSON number, got '0'"),
-        ({("steps", 0, "output"): None, ("steps", 0, "citation"): 7}, "step output label must be a JSON string, got None"),
-        ({("steps", 0, "inputs"): [7], ("steps", 0, "output"): None}, "step input label must be a JSON string, got 7"),
+        ({("steps", 0, "output"): None, ("steps", 0, "citation"): 7}, "step output label must be a string, got None"),
+        ({("steps", 0, "inputs"): [7], ("steps", 0, "output"): None}, "Bisect expects 2 inputs, got 1"),
         (
             {("steps", 0, "op"): "Undefined", ("steps", 0, "output"): None},
             "invalid trace document: 'Undefined' is not a valid StepOp",
@@ -552,6 +557,52 @@ def test_every_buildable_trace_reads_back_from_its_json(labels, citation):
     trace = ConstructionTrace((Point(0, 0, a), Point(4, 0, b)), (ConstructionStep(StepOp.BISECT, (a, b), f, citation),))
     assert ConstructionTrace.from_json(trace.to_json()) == trace
     assert replay_trace(trace)[f] == Point(2.0, 0.0, f)
+
+
+def _label_fields(doc):
+    """Where a trace document holds a label or citation, as (entry, key) pairs: a
+    given point's label, a step's output and citation, and each of its inputs."""
+    fields = [(point, "label") for point in doc["initial"]]
+    for step in doc["steps"]:
+        fields += [(step, "output"), (step, "citation")] + [(step["inputs"], i) for i in range(len(step["inputs"]))]
+    return fields
+
+
+_NOT_STRINGS = st.one_of(
+    st.none(),
+    st.integers(),
+    st.floats(),
+    st.booleans(),
+    st.lists(st.text(max_size=2), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+
+
+# The reader leaves labels and citations to the value types: a document reads
+# exactly when Point, ConstructionStep and ConstructionTrace accept its fields.
+@settings(deadline=None)
+@given(data=st.data(), kind=st.sampled_from(list(ApplicationKind)))
+def test_a_trace_document_reads_exactly_when_its_value_types_accept_it(data, kind):
+    doc = APPLICATIONS[kind]().trace.to_json_dict()
+    field = data.draw(st.sampled_from(range(len(_label_fields(doc)))))
+
+    def edited(value):
+        copied = json.loads(json.dumps(doc))
+        entry, key = _label_fields(copied)[field]
+        entry[key] = value
+        return copied
+
+    bad = edited(data.draw(_NOT_STRINGS))
+    for read in (lambda: ConstructionTrace.from_json(json.dumps(bad)), lambda: ConstructionTrace.from_json_dict(bad)):
+        with pytest.raises(MalformedTraceError):
+            read()
+    good = edited(data.draw(st.text(min_size=1)))
+    built = ConstructionTrace(
+        [Point(p["x"], p["y"], p["label"]) for p in good["initial"]],
+        [ConstructionStep(StepOp(s["op"]), s["inputs"], s["output"], s["citation"]) for s in good["steps"]],
+    )
+    assert ConstructionTrace.from_json(json.dumps(good)) == built
+    assert ConstructionTrace.from_json_dict(good) == built
 
 
 @pytest.mark.parametrize("x", [4, 4.0])
@@ -760,11 +811,9 @@ def test_an_applications_trace_is_written_without_encoding_a_step(kind, monkeypa
     dumps, to_json_dict = json.dumps, ConstructionTrace.to_json_dict
     monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or dumps(value, **kw))
     monkeypatch.setattr(ConstructionTrace, "to_json_dict", lambda self: documents.append(self) or to_json_dict(self))
-    assert trace.to_json() == expected
     # Neither a step nor a given point is encoded: each given entry is written from one template.
+    assert trace.to_json() == expected and edited.to_json() == expected
     assert documents == [] and encoded == []
-    assert edited.to_json() == expected
-    assert documents == [edited]
 
 
 @pytest.mark.parametrize("kind", list(ApplicationKind))
@@ -773,10 +822,10 @@ def test_given_labels_outside_the_applications_are_encoded_when_written(kind, mo
     trace = ConstructionTrace(
         (Point(0.5, -0.0, "P"), Point(1e300, 5e-324, "é"), Point(-2.0, 3.0, 'q"'), Point(4.0, 1.0, "A")), _STEPS[kind]
     )
-    dumps, encoded = json.dumps, []
-    monkeypatch.setattr(json, "dumps", lambda value, **kw: encoded.append(value) or dumps(value, **kw))
+    to_json_dict, documents = ConstructionTrace.to_json_dict, []
+    monkeypatch.setattr(ConstructionTrace, "to_json_dict", lambda self: documents.append(self) or to_json_dict(self))
     text = trace.to_json()
-    assert encoded == ["P", "é", 'q"']
+    assert documents == [trace]
     monkeypatch.undo()
     assert text == json.dumps(trace.to_json_dict())
     read = ConstructionTrace.from_json(text)
@@ -913,6 +962,29 @@ def test_an_applications_indented_trace_reads_back_and_replays_on_its_kinds_prog
     assert compiled == [] and len(ran) == 1 and ran[0] is _PROGRAMS[kind]
     assert _hex_points(replayed) == _hex_points(result.figure_points)
     assert parsed.to_json() == result.trace.to_json()
+
+
+# An application's trace knows its kind from when it is built, also from the
+# indented text, whose steps equal its kind's but are not its step tuple; a
+# pickle or copy keeps it.
+@pytest.mark.parametrize("kind", list(ApplicationKind))
+def test_an_applications_trace_read_from_indented_text_is_recognised_as_built(kind, monkeypatch):
+    result = APPLICATIONS[kind]()
+    read = ConstructionTrace.from_json(result.trace.to_json(indent=2))
+    assert read.steps == _STEPS[kind] and read.steps is not _STEPS[kind]
+    expected = result.trace.to_json()
+    copies = [read, copy.copy(read), copy.deepcopy(read)]
+    copies += [pickle.loads(pickle.dumps(read, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("an application's trace was not recognised")
+
+    monkeypatch.setattr(ConstructionTrace, "to_json_dict", unexpected)
+    monkeypatch.setattr(constructions, "_compile", unexpected)
+    for trace in copies:
+        assert trace._kind is kind
+        assert trace.to_json() == expected
+        assert _hex_points(replay_trace(trace)) == _hex_points(result.figure_points)
 
 
 def test_result_invariants_random_spot_checks():

@@ -342,6 +342,19 @@ def test_max_applicable_area_examples():
         max_applicable_area(0, 1)
 
 
+# max_applicable_area converted lambda itself, and raised float()'s TypeError for None.
+def test_a_missing_aspect_ratio_is_rejected_alike_by_every_entry_point():
+    message = "^deficient applications require the aspect ratio lambda$"
+    for call in (
+        lambda: max_applicable_area(2.0, None),
+        lambda: conic_params(ConicKind.ELLIPSE, 2.0, None),
+        lambda: sample_locus(ConicKind.ELLIPSE, 2.0, SampleRange(0.1, 1.0, 3), None),
+        lambda: verify_residuals([LocusPoint(1.0, 1.0)], ConicKind.ELLIPSE, 2.0, None, tol=1e-9),
+    ):
+        with pytest.raises(LocusError, match=message):
+            call()
+
+
 BASE_NOT_FINITE = "base length must be positive and finite, got {}"
 RATIO_NOT_FINITE = "aspect ratio must be positive and finite, got inf"
 
