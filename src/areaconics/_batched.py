@@ -23,15 +23,26 @@ zero and a column of one sign gets the direction (±1.0, that zero)
 the crossings' x is foot_x ∓ ux. ``where`` returns one constant that
 both sides hold bit for bit (G's x). Each fold's comment shows that
 wherever it gives another value than the float expression, a check fails
-at that height, with the fold and without it. In a sweep of the pruned
-program this halves the array passes of a run: 54 / 65 / 65 against
-108 / 135 / 135 (parabola / ellipse / hyperbola; ``BENCH_29.json``).
+at that height, with the fold and without it. Beside those, the kernel
+skips operations that are exact identities at every height, nan and the
+signed zeros included: v - (+0.0) is v (``kernel._minus``: |AD|'s, |AG|'s
+and b's differences from A, the circle-line's cx and hx), a square plus
+a square that is one zero, half*(+1.0), ±0 + half where half is never
+-0.0, and the crossings' tie-break on a line along y, where their x are
+equal. So every value stays the float expression's, failing heights
+included. In a sweep of the pruned program a run, with its |AG|, makes
+43 / 53 / 53 array passes (parabola / ellipse / hyperbola), against
+54 / 65 / 65 before the identities (``BENCH_31.json``) and 108 / 135 /
+135 before the folds (``BENCH_29.json``); a test pins the count.
 
-A run's checks do not stop it. Each check records its mask, and ``ok``
-ANDs the masks recorded since it was last read in one reduction: once,
-at the run's end. A check on constants alone fails every height or none,
-in Python. The given points are checked first, once per distinct column;
-each step checks the points it makes. At a height whose checks pass its
+A run's checks do not stop it. Each check records its mask; where every
+height passes, one concatenation and one ``all`` over the masks show it,
+at the run's end, and only on a failure does ``ok`` AND them height by
+height to find the first failing one. A check on constants alone fails
+every height or none, in Python, and so does the finite check of a 0-d
+value (``math.isfinite``, not a numpy call). The given points are checked
+first, once per distinct column; each step checks the points it makes.
+At a height whose checks pass its
 values are the float run's, and a height fails a check in the run if
 and only if it fails in floats, so the lowest height the mask rejects is
 the first height that fails in floats; the error itself comes from one
@@ -48,7 +59,7 @@ component is zero in every row (a 0-d zero or an all-zero array), and
 
 Memory: a run allocates its columns afresh at every call, but the pages
 they take stay the process's between calls. Importing this module frees
-one untouched 2 MiB array, which makes glibc keep up to 4 MiB of freed
+one untouched 4 MiB array, which makes glibc keep up to 8 MiB of freed
 heap instead of handing it back to the kernel after each run (see the
 comment at the allocation).
 
@@ -65,7 +76,7 @@ from typing import Any
 import numpy as np
 
 from .constructions import _Program
-from .kernel import _NOT_FINITE, Point, _Namespace
+from .kernel import Point, _Namespace
 
 # Keep a run's heap pages between runs. A run of n <= locus._BLOCK heights
 # allocates ~25 float columns of n entries. Each is under glibc's 128 KiB
@@ -77,15 +88,17 @@ from .kernel import _NOT_FINITE, Point, _Namespace
 # ~1.3-1.5 us each, on a 2-vCPU VM (Python 3.11, numpy 2.4, glibc 2.36).
 # mallopt(3), M_MMAP_THRESHOLD: freeing a block that was mmapped raises the
 # mmap threshold to its size and the trim threshold to twice that. So
-# freeing one 2 MiB array, above a run's peak, sets them to 2 MiB and
-# 4 MiB, and later runs reuse the same heap pages: 0 faults per sweep up
-# to 20,000 heights, and a sweep of 6,310 or 8,192 heights takes 46-66%
-# of its former time. ``np.empty`` writes no page, so the resident size
-# does not grow, and no result changes. It does nothing under other
-# allocators, in a process that has already freed a larger block, or where
-# the user set a threshold, top pad or mmap maximum (MALLOC_*_ variables,
-# GLIBC_TUNABLES or mallopt), which turns the dynamic thresholds off.
-np.empty(2 << 20, np.uint8)
+# freeing one 4 MiB array sets them to 4 MiB and 8 MiB, and later runs
+# reuse the same heap pages: 0 faults per sweep up to 20,000 heights. The
+# 4 MiB also covers a 100k-height hyperbola's 2n-entry columns (1.6 MB
+# each), which a 2 MiB block left to mmap and trimming: 0 faults per call
+# against ~1,300. Freed heap that glibc keeps can now reach 8 MiB.
+# ``np.empty`` writes no page, so the resident size does not grow, and no
+# result changes. It does nothing under other allocators, in a process
+# that has already freed a larger block, or where the user set a
+# threshold, top pad or mmap maximum (MALLOC_*_ variables, GLIBC_TUNABLES
+# or mallopt), which turns the dynamic thresholds off.
+np.empty(4 << 20, np.uint8)
 
 
 def _hypot(x: Any, y: Any) -> Any:
@@ -104,8 +117,9 @@ def _constant(v: Any) -> bool:
 
 
 def _where(condition: Any, a: Any, b: Any) -> Any:
-    # The same constant on both sides, bit for bit, is the choice at every height.
-    if _constant(a) and _constant(b) and np.float64(a).tobytes() == np.float64(b).tobytes():
+    # The same constant on both sides, bit for bit, is the choice at every
+    # height. Two nans are never ==, and np.where gives their bits.
+    if _constant(a) and _constant(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
         return a
     return np.where(condition, a, b)
 
@@ -136,11 +150,15 @@ ARRAYS = _Namespace(
 )
 
 
-class _Run(_Namespace):
-    """``ARRAYS`` for one run, with checks that record their masks: ``ok`` ANDs them."""
+class _Run:
+    """``ARRAYS`` for one run, with checks that record their masks: ``ok`` ANDs them.
+
+    ``ARRAYS``' methods are class attributes, so building a run binds none.
+    """
 
     def __init__(self) -> None:
-        super().__init__(**vars(ARRAYS), masks=[], failed=False)
+        self.masks: list[Any] = []
+        self.failed = False
 
     @property
     def ok(self) -> Any:
@@ -160,8 +178,20 @@ class _Run(_Namespace):
             self.failed = True
 
     def check_finite(self, x: Any, y: Any) -> None:
-        self.check(np.isfinite(x), ValueError, _NOT_FINITE, x, y)
-        self.check(np.isfinite(y), ValueError, _NOT_FINITE, x, y)
+        self._finite(x)
+        self._finite(y)
+
+    def _finite(self, v: Any) -> None:
+        # A 0-d value in Python: np.isfinite on a numpy scalar takes ~0.6 us.
+        if v.ndim:
+            self.masks.append(np.isfinite(v))
+        elif not math.isfinite(v):
+            self.failed = True
+
+
+for _name, _method in vars(ARRAYS).items():
+    setattr(_Run, _name, staticmethod(_method))
+del _name, _method
 
 
 def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
@@ -178,18 +208,23 @@ def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dic
     """
     # A numpy scalar, not a float: float division by zero raises, where
     # numpy's follows the errstate below.
-    initial = [tuple(c if isinstance(c, np.ndarray) else np.float64(c) for c in point) for point in given.values()]
+    initial = [
+        (x if isinstance(x, np.ndarray) else np.float64(x), y if isinstance(y, np.ndarray) else np.float64(y))
+        for x, y in given.values()
+    ]
     run = _Run()
     # The given points' finite check, once per column: in a sweep C, D and
     # the applied corner C± share the heights array, and B± and C± the base b.
     for column in {id(c): c for point in initial for c in point}.values():
-        finite = np.isfinite(column) if column.ndim else np.bool_(math.isfinite(column))
-        run.check(finite, ValueError, _NOT_FINITE)
+        run._finite(column)
     with np.errstate(all="ignore"):
         env = program.run(run, initial)
-    ok = run.ok
-    if ok.all():
+    # Where every check passes, one pass over all the masks shows it; the
+    # per-height AND is built only to find the first failing height.
+    masks = run.masks
+    if not run.failed and (not masks or np.concatenate(masks).all()):
         return dict(zip(program.labels, env))
+    ok = run.ok
     # No check fails at any height below i, and a height fails a check in
     # the run exactly where it fails one in floats (see the module
     # docstring), so the float replay at height i raises what ``apply_*``

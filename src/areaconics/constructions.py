@@ -168,6 +168,8 @@ class ConstructionStep(_Value):
         for name in self.inputs:
             if not isinstance(name, str):
                 raise MalformedTraceError(f"step input label must be a string, got {name!r}")
+            if not name:
+                raise MalformedTraceError("step input label must be non-empty")
         for what, value in (("step output label", self.output), ("step citation", self.citation)):
             if not isinstance(value, str):
                 raise MalformedTraceError(f"{what} must be a string, got {value!r}")

@@ -33,8 +33,12 @@ A namespace provides these methods; the primitives use nothing else of it:
   zero, or the same ±1, at every height whose checks pass as one constant
   instead of a column; its comment shows that wherever a fold gives
   another value than the float expression, a check fails at that height,
-  with the fold and without it. ``FLOATS`` sets both to ``None`` and folds
-  nothing, since a float run's values at a failing check name its error.
+  with the fold and without it. Over arrays a primitive also skips an
+  operation that is an exact identity at every height, such as v - (+0.0)
+  (``_minus``). ``FLOATS`` sets both to ``None`` and folds nothing, since
+  a float run's values at a failing check name its error; each fold sits
+  behind a test of ``constant`` or ``axis``, so a float run pays one
+  branch for it.
 
 Its numbers support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``abs`` and
 the comparisons ``<``, ``<=``, ``>``, ``==`` and ``!=``, which give masks;
@@ -251,7 +255,20 @@ def _line(ns: Any, anchor: Any, ux: Any, uy: Any) -> tuple[Any, tuple[Any, Any]]
     return anchor, (ux, uy)
 
 
+def _minus(constant: Any, v: Any, w: Any) -> Any:
+    """v - w over arrays, whose ``constant`` is given: v itself where w is one +0.0.
+
+    v - (+0.0) is v for every v, -0.0 and nan included, so the fold gives
+    the float expression's value at every height. Only the folds call this;
+    a float run computes v - w inline.
+    """
+    return v if constant(w) and not w and math.copysign(1.0, w) > 0.0 else v - w
+
+
 def _distance(ns: Any, p: Any, q: Any) -> Any:
+    constant = ns.constant
+    if constant:
+        return ns.hypot(_minus(constant, q[0], p[0]), _minus(constant, q[1], p[1]))
     return ns.hypot(q[0] - p[0], q[1] - p[1])
 
 
@@ -275,12 +292,17 @@ def _extend(ns: Any, through: Any, frm: Any, dist: Any) -> tuple[Any, Any]:
 
 
 def _line_through(ns: Any, p: Any, q: Any) -> tuple[Any, tuple[Any, Any]]:
-    dx, dy = q[0] - p[0], q[1] - p[1]
+    axis = ns.axis
+    if axis:
+        constant = ns.constant
+        dx, dy = _minus(constant, q[0], p[0]), _minus(constant, q[1], p[1])
+    else:
+        dx, dy = q[0] - p[0], q[1] - p[1]
     norm = ns.hypot(dx, dy)
     ns.check(norm != 0.0, DegenerateRayError, "cannot draw a line through coincident points")
-    axis = ns.axis and ns.axis(dx, dy)
-    if axis:
-        return _line(ns, p, *axis)
+    direction = axis and axis(dx, dy)
+    if direction:
+        return _line(ns, p, *direction)
     return _line(ns, p, dx / norm, dy / norm)
 
 
@@ -306,31 +328,39 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     """
     (center_x, center_y), radius = circle
     (ax, ay), (ux, uy) = line
-    cx, cy = center_x - ax, center_y - ay
+    constant = ns.constant
+    cx = _minus(constant, center_x, ax) if constant else center_x - ax
+    cy = center_y - ay
     # On a line along y, ux one exact zero, cx*ux is ±0 wherever cx is
     # finite, and ±0 + v is v for any v but -0.0, so t0 is cy*uy. Where cx
     # is not finite, t0 is nan and the returned point fails; with t0 = cy*uy,
     # hx is cx or nan, so h² is infinite (a miss) or the gap nan (a nan y).
-    constant = ns.constant
     upright = constant and constant(ux) and not ux
     along = cy * uy
     t0 = along if upright and constant(along) and (along or math.copysign(1.0, along) > 0.0) else cx * ux + along
     foot_x = ax + t0 * ux
     foot_y = ay + t0 * uy
-    hx, hy = center_x - foot_x, center_y - foot_y
-    # x*x is the correctly rounded square; x ** 2 goes through libm pow.
-    h2 = hx * hx + hy * hy
+    hx = _minus(constant, center_x, foot_x) if constant else center_x - foot_x
+    hy = center_y - foot_y
+    # x*x is the correctly rounded square; x ** 2 goes through libm pow. A
+    # square is never -0.0, so adding a square that is one zero changes nothing.
+    h2 = hx * hx if upright and constant(hy) and not hy * hy else hx * hx + hy * hy
     r2 = radius * radius
     gap = r2 - h2
     band = ns.maximum(_EPS_ABS, _EPS_REL * r2)
     tangent = gap <= band
     half = ns.sqrt(ns.where(tangent, 0.0, gap))
     # half is +0 or positive and finite, or nan on a nan gap, where y is nan
-    # and the returned point fails; so where ux is one exact zero, half*ux is ux.
-    shift_x, shift_y = ux if upright else half * ux, half * uy
+    # and the returned point fails; so where ux is one exact zero, half*ux is
+    # ux. half*(+1.0) is half, and as half is never -0.0, ±0 + half is half.
+    shift_x = ux if upright else half * ux
+    shift_y = half if upright and constant(uy) and uy == 1.0 else half * uy
+    high_y = half if upright and shift_y is half and constant(foot_y) and not foot_y else foot_y + shift_y
     low = (foot_x - shift_x, foot_y - shift_y)
-    high = (foot_x + shift_x, foot_y + shift_y)
-    low_last = (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
+    high = (foot_x + shift_x, high_y)
+    # Where ux is one exact zero, the crossings' x, foot_x ∓ ux, are equal
+    # (or nan) at every height, so low's x is never the greater: no tie breaks.
+    low_last = low[1] > high[1] if upright else (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
     return gap < -band, tangent, (foot_x, foot_y), low, high, low_last
 
 

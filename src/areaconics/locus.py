@@ -297,27 +297,37 @@ def sample_locus(
 
     family = _sweep_family(kind, base_L, sample_range, lam)
     program = _SWEEP_PROGRAMS[family.kind]
+    n = sample_range.n
+    hyperbola = kind is ConicKind.HYPERBOLA
+    # The hyperbola's x column holds both branches, the upper in its first n entries.
+    x = np.empty(2 * n if hyperbola else n)
+    sides = x[:n]
     # Silent, as in floats: the applied base L + k*y may overflow.
     with np.errstate(all="ignore"):
-        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(sample_range.n))
+        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(n))
         heights[-1] = sample_range.y_max
-        sides = np.empty_like(heights)
-        for start in range(0, len(heights), _BLOCK):
+        for start in range(0, n, _BLOCK):
             env = execute_batched(program, _given_coordinates(family, heights[start : start + _BLOCK]))
             sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
-    upper = np.zeros(len(heights), bool)
-    if kind is not ConicKind.HYPERBOLA:
-        return LocusSamples(sides, heights, upper)
-    # -L/k - y is only non-increasing in floats, so reflected heights can
-    # tie; a stable sort keeps those in ascending x, where a reversal
-    # would flip them.
-    reflected = family.reflect(heights)
-    order = np.argsort(reflected, kind="stable")
-    return LocusSamples(
-        np.concatenate((sides, sides[order])),
-        np.concatenate((heights, reflected[order])),
-        np.concatenate((upper, ~upper)),
-    )
+    if not hyperbola:
+        return LocusSamples(x, heights, np.zeros(n, bool))
+    y = np.empty(2 * n)
+    y[:n] = heights
+    lower = np.zeros(2 * n, bool)
+    lower[n:] = True
+    # -L/k - y is only non-increasing in floats, so the lower branch, sorted
+    # stably by height, is the upper one reversed, except where neighbouring
+    # reflected heights tie: there a stable sort keeps them in ascending x,
+    # where the reversal would flip them. One pass over neighbours finds a tie.
+    reflected = y[n:]
+    reflected[:] = family.reflect(heights[::-1])
+    if (reflected[1:] == reflected[:-1]).any():
+        order = np.argsort(reflected[::-1], kind="stable")
+        x[n:] = sides[order]
+        reflected[:] = reflected[::-1][order]
+    else:
+        x[n:] = sides[::-1]
+    return LocusSamples(x, y, lower)
 
 
 def _sample_locus_floats(

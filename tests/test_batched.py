@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from areaconics import constructions
+from areaconics import constructions, kernel
 from areaconics._batched import ARRAYS, _Run, execute_batched
 from areaconics.constructions import (
     _PROGRAMS,
@@ -795,6 +795,190 @@ def test_array_hypot_takes_scalars_and_keeps_an_infinite_component():
     assert ARRAYS.hypot(np.array([math.inf, 3.0]), np.array([math.nan, 4.0])).tolist() == [math.inf, 5.0]
 
 
+# Columns for the folds: signed zeros, subnormals, the least normal, finite
+# values of both signs, the largest, infinities and nans of both signs.
+FOLD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -3.5, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan]
+
+
+def row_bits(values, rows):
+    """The bits of each row of a value: a column, a constant, or a list of floats."""
+    return np.array(np.broadcast_to(np.asarray(values, dtype=np.float64), (rows,))).view(np.uint64).tolist()
+
+
+def float_rows(primitive, rows):
+    """``primitive(FLOATS, *row)`` at each row, or None where a check raises."""
+    results = []
+    for row in rows:
+        try:
+            results.append(primitive(FLOATS, *row))
+        except ValueError:
+            results.append(None)
+    return results
+
+
+def test_the_difference_fold_gives_the_float_differences_bits():
+    # v - (+0.0) is v, so _minus keeps v; any other subtrahend is subtracted.
+    column = np.array(FOLD_VALUES)
+    for w in (np.float64(0.0), 0.0, np.float64(-0.0), np.float64(1.5), column[::-1]):
+        expected = [v - float(u) for v, u in zip(FOLD_VALUES, np.broadcast_to(w, column.shape))]
+        with np.errstate(all="ignore"):
+            assert row_bits(kernel._minus(_Run.constant, column, w), len(column)) == row_bits(expected, len(column))
+
+
+@pytest.mark.parametrize("anchor", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (1.5, 0.0)])
+def test_the_distance_and_line_folds_give_the_float_bits(anchor):
+    # From a constant anchor to (column, constant) and (constant, column):
+    # _distance's and _line_through's differences, the latter's axis
+    # direction, each row as FLOATS computes it, where its checks pass.
+    p = tuple(np.float64(c) for c in anchor)
+    column = np.array(FOLD_VALUES)
+    rows, reverse = len(column), column[::-1]
+    for q in ((column, np.float64(0.0)), (np.float64(-0.0), column), (column, reverse)):
+        float_qs = [tuple(map(float, row)) for row in zip(*(np.broadcast_to(c, column.shape) for c in q))]
+        with np.errstate(all="ignore"):
+            distance = kernel._distance(_Run(), p, q)
+        expected = [kernel._distance(FLOATS, tuple(map(float, p)), row) for row in float_qs]
+        # np.hypot and math.hypot may differ in the last bit where no
+        # component is zero, and np.hypot keeps a nan's sign.
+        if q[1] is not reverse:
+            assert row_bits(np.where(np.isnan(distance), np.nan, distance), rows) == row_bits(expected, rows), q
+        run = _Run()
+        with np.errstate(all="ignore"):
+            _, (ux, uy) = kernel._line_through(run, p, q)
+        lines = float_rows(lambda ns, row: kernel._line_through(ns, tuple(map(float, p)), row), [(row,) for row in float_qs])
+        assert np.broadcast_to(run.ok, (rows,)).tolist() == [line is not None for line in lines]
+        for i, line in enumerate(lines):
+            if line is not None:
+                got = [row_bits(c, rows)[i] for c in (ux, uy)]
+                assert got == row_bits(line[1], 2), (q, i)
+
+
+@pytest.mark.parametrize("center_y", [0.0, -0.0, 1.5])
+@pytest.mark.parametrize(
+    "line",
+    [
+        ((0.0, 0.0), (-0.0, 1.0)),
+        ((0.0, 0.0), (0.0, 1.0)),
+        ((0.0, -0.0), (-0.0, -1.0)),
+        ((-0.0, 0.0), (0.0, 1.0)),
+        # Not a unit direction, which _circle_line does not check: hy is one nonzero constant.
+        ((0.0, 0.0), (-0.0, 0.5)),
+    ],
+)
+def test_the_circle_line_folds_give_the_float_bits(center_y, line):
+    # A centre x and a radius from FOLD_VALUES, each against each, with a
+    # constant centre y, on constant lines along y: over a run _circle_line
+    # folds cx, hx, h², half·(+1.0), ±0 + half and the tie-break. Those are
+    # identities, so its y-side outputs equal FLOATS' at every row whose
+    # centre x is finite; elsewhere the older folds of t0 and the crossings'
+    # x differ from floats, where the returned point's check fails. The
+    # highest point is compared at every row: the same bits where its checks
+    # pass, and a failed check where FLOATS raises.
+    cx, radius = (np.array(column) for column in zip(*((x, r) for x in FOLD_VALUES for r in FOLD_VALUES)))
+    rows = len(cx)
+    (ax, ay), (ux, uy) = line
+    center_y_, ax_, ay_, ux_, uy_ = (np.float64(v) for v in (center_y, ax, ay, ux, uy))
+    circle, arrays_line = ((cx, center_y_), radius), ((ax_, ay_), (ux_, uy_))
+    run = _Run()
+    with np.errstate(all="ignore"):
+        missed, tangent, foot, low, high, low_last = kernel._circle_line(run, circle, arrays_line)
+        highest = kernel._highest(run, circle, arrays_line, GeometryError, "miss")
+    float_circles = [((float(x), center_y), float(r)) for x, r in zip(cx, radius)]
+    for i, float_circle in enumerate(float_circles):
+        if not math.isfinite(cx[i]):
+            continue
+        f_missed, f_tangent, f_foot, f_low, f_high, f_low_last = kernel._circle_line(FLOATS, float_circle, line)
+        for name, value, want in (("missed", missed, f_missed), ("tangent", tangent, f_tangent), ("low_last", low_last, f_low_last)):
+            assert bool(np.broadcast_to(value, (rows,))[i]) is bool(want), (name, i)
+        got = [row_bits(c, rows)[i] for c in (*foot, low[1], high[1])]
+        assert got == row_bits([*f_foot, f_low[1], f_high[1]], 4), i
+    expected = float_rows(lambda ns, c: kernel._highest(ns, c, line, GeometryError, "miss"), [(c,) for c in float_circles])
+    assert np.broadcast_to(run.ok, (rows,)).tolist() == [point is not None for point in expected]
+    for i, point in enumerate(expected):
+        if point is not None:
+            assert [row_bits(c, rows)[i] for c in highest] == row_bits(point, 2), i
+
+
+@pytest.mark.parametrize("direction", [(-1.0, 0.0), (-1.0, -0.0), (1.0, 0.0), (1.0, -0.0)])
+def test_constant_crossings_tied_in_y_come_highest_by_x(direction):
+    # On a line along x the two crossings tie in y; low comes last where its
+    # x is the greater, a tie-break on constants alone.
+    run = _Run()
+    constant = np.float64
+    circle = ((constant(0.0), constant(0.0)), constant(1.0))
+    line = ((constant(0.0), constant(0.0)), tuple(map(constant, direction)))
+    highest = kernel._highest(run, circle, line, GeometryError, "miss")
+    expected = kernel._highest(FLOATS, ((0.0, 0.0), 1.0), ((0.0, 0.0), direction), GeometryError, "miss")
+    assert row_bits(highest, 2) == row_bits(expected, 2) == row_bits((1.0, 0.0), 2)
+    assert run.ok
+
+
+def test_an_extension_that_underflows_to_minus_zero_is_not_folded():
+    # dist·dx/norm underflows to -0.0 with every check passing; +0.0 + -0.0
+    # is +0.0, so I's x must stay the sum, not the folded -0.0.
+    frm_x = np.array([1e-300, 1e-200, 5e-324])
+    dist = np.array([1e-300, 1e-200, 5e-324])
+    zero = np.float64(0.0)
+    run = _Run()
+    with np.errstate(all="ignore"):
+        x, y = kernel._extend(run, (zero, zero), (frm_x, zero), dist)
+    assert run.ok.all()
+    expected = [kernel._extend(FLOATS, (0.0, 0.0), (float(f), 0.0), float(d)) for f, d in zip(frm_x, dist)]
+    assert row_bits(x, 3) == row_bits([e[0] for e in expected], 3) == row_bits([0.0, 0.0, 0.0], 3)
+    assert row_bits(y, 3) == row_bits([e[1] for e in expected], 3)
+
+
+class _Column(np.ndarray):
+    """An ndarray subclass: a column to every fold, as any ndarray is."""
+
+
+def test_a_subclassed_column_is_a_column_to_every_fold():
+    column = np.array([0.0, 0.0]).view(_Column)
+    positive = np.array([1.0, 2.0]).view(_Column)
+    assert not ARRAYS.constant(column)
+    assert ARRAYS.where(np.array([True, False]), column, np.float64(0.0)).shape == (2,)
+    assert ARRAYS.axis(positive, np.float64(0.0)) == (1.0, 0.0)
+
+
+# Counts each ufunc and array-function call that reaches a column: every
+# array such a call returns is wrapped again, and operations between numpy
+# scalars, which touch no column, are not counted.
+class _Counted(np.ndarray):
+    calls = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        _Counted.calls += 1
+        result = getattr(ufunc, method)(*_plain(inputs), **_plain(kwargs))
+        return result.view(_Counted) if isinstance(result, np.ndarray) and result.ndim else result
+
+    def __array_function__(self, func, types, args, kwargs):
+        _Counted.calls += 1
+        result = func(*_plain(args), **_plain(kwargs))
+        return result.view(_Counted) if isinstance(result, np.ndarray) and result.ndim else result
+
+
+def _plain(value):
+    if isinstance(value, _Counted):
+        return value.view(np.ndarray)
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_plain, value))
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    return value
+
+
+@pytest.mark.parametrize("kind, lam, passes", [(ApplicationKind.EXACT, None, 43), (ApplicationKind.DEFICIENT, 0.5, 53), (ApplicationKind.EXCESS, 0.5, 53)])
+def test_a_sweep_run_makes_its_pinned_number_of_array_passes(kind, lam, passes):
+    # A sweep run of 1,000 heights and its |AG|: the given points, the six
+    # steps, the mask reduction (a concatenation and an all) and |AG|. A
+    # change that adds a pass fails here; one that removes a pass lowers the pin.
+    heights = np.linspace(0.1, 1.5, 1000).view(_Counted)
+    _Counted.calls = 0
+    env = execute_batched(SWEEP_PROGRAMS[kind], _given_coordinates(AreaFamily(kind, 2.0, lam), heights))
+    kernel._distance(ARRAYS, env["A"], env["G"])
+    assert _Counted.calls == passes
+
+
 @pytest.mark.parametrize("program", ["full", "sweep"])
 @pytest.mark.parametrize(
     "kind, lam, heights, i, message",
@@ -849,7 +1033,8 @@ import json, resource
 from areaconics.locus import ConicKind, SampleRange, sample_locus
 faults = {}
 for kind, lam in ((ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)):
-    for n in (6310, 8192):
+    # A 100k-height hyperbola's 2n-entry columns take 1.6 MB each.
+    for n in (6310, 8192, 100_000) if kind is ConicKind.HYPERBOLA else (6310, 8192):
         sample_range, counts = SampleRange(0.1, 1.5, n), []
         for _ in range(20):
             before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -890,13 +1075,14 @@ needs_glibc = pytest.mark.skipif(
 
 @needs_glibc
 def test_a_sweep_keeps_its_heap_pages_between_calls():
-    # Without the 2 MiB freed at _batched's import, glibc trims the heap
-    # after every run: ~250-550 faults per sweep at these sizes.
+    # Without the 4 MiB freed at _batched's import, glibc trims the heap
+    # after every run: ~250-550 faults per sweep at these sizes, and ~1,300
+    # for the 100k-height hyperbola with 2 MiB freed.
     for case, counts in json.loads(_fresh_python(_FAULTS_PROBE)).items():
         assert max(counts[3:]) < 16, (case, counts)
 
 
 @needs_glibc
 def test_importing_batched_writes_no_page_of_its_reservation():
-    # A written 2 MiB reservation would add 2,048 KiB.
+    # A written 4 MiB reservation would add 4,096 KiB.
     assert int(_fresh_python(_RSS_PROBE)) < 1024

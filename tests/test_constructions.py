@@ -521,6 +521,7 @@ def test_trace_coordinates_must_be_json_numbers(x, message):
         ({("initial", 1, "label"): 7}, "invalid trace document: point label must be a string or None, got 7"),
         ({("steps", 0, "inputs"): ["A", 7]}, "step input label must be a string, got 7"),
         ({("steps", 0, "inputs"): [None, "B"]}, "step input label must be a string, got None"),
+        ({("steps", 0, "inputs"): ["", "B"]}, "step input label must be non-empty"),
         ({("steps", 0, "output"): None}, "step output label must be a string, got None"),
         ({("steps", 0, "output"): 7}, "step output label must be a string, got 7"),
         ({("steps", 0, "citation"): 10}, "step citation must be a string, got 10"),

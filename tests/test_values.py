@@ -426,6 +426,11 @@ def test_derived_fields_are_computed_from_the_others():
             "step input label must be a string, got None",
         ),
         (
+            lambda: ConstructionStep(StepOp.BISECT, ("", "B"), "F", "I.10"),
+            MalformedTraceError,
+            "step input label must be non-empty",
+        ),
+        (
             lambda: ConstructionStep(StepOp.BISECT, ("A", "B"), 7, "I.10"),
             MalformedTraceError,
             "step output label must be a string, got 7",
