@@ -76,7 +76,7 @@ from typing import Any
 import numpy as np
 
 from .constructions import _Program
-from .kernel import Point, _Namespace
+from .kernel import Point, _Namespace, _tolerance
 
 # Keep a run's heap pages between runs. A run of n <= locus._BLOCK heights
 # allocates ~25 float columns of n entries. Each is under glibc's 128 KiB
@@ -142,9 +142,8 @@ def _axis(dx: Any, dy: Any) -> tuple[Any, Any] | None:
 ARRAYS = _Namespace(
     sqrt=np.sqrt,
     hypot=_hypot,
-    maximum=np.maximum,
     where=_where,
-    not_=np.logical_not,
+    **_tolerance(np.maximum, np.logical_not),
     constant=_constant,
     axis=_axis,
 )

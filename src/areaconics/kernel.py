@@ -2,10 +2,14 @@
 
 Every construction in this package reduces to the operations here:
 midpoints, ray extensions, perpendiculars, circle-line intersections,
-and distance measurement, all on binary64 coordinates under one fixed
-relative/absolute tolerance pair (``_EPS_REL``, ``_EPS_ABS``). The
-canonical frame places the base segment endpoint A at the origin with
-the base along +x and rectangle heights along +y.
+and distance measurement, all on binary64 coordinates. Only two of their
+decisions are not geometry: whether a circle touches a line, and whether
+a point lies on one. Each is a namespace method, ``tangent`` and
+``on_line``, which ``_tolerance`` builds for ``FLOATS`` and the array
+namespace alike; a namespace that decides otherwise, an exact one say,
+provides its own two. The canonical frame places the base segment
+endpoint A at the origin with the base along +x and rectangle heights
+along +y.
 
 Each primitive is written once, over a numeric namespace ``ns``.
 ``FLOATS`` runs them on float coordinates; ``_batched._Run``, one run's
@@ -17,8 +21,15 @@ the run's own checks. A point is its (x, y), a circle
 
 A namespace provides these methods; the primitives use nothing else of it:
 
-- ``sqrt(x)``, ``hypot(x, y)``, ``maximum(a, b)``,
-  ``where(condition, a, b)`` and ``not_(mask)``, elementwise;
+- ``sqrt(x)``, ``hypot(x, y)`` and ``where(condition, a, b)``,
+  elementwise;
+- ``tangent(gap, r2)``, which returns the masks (met, tangent) of a
+  circle of squared radius r2 and a line whose squared distance from its
+  centre falls short of r2 by ``gap``: they meet unless the gap is
+  beyond tolerance below zero (a nan gap meets), and touch where it is
+  within tolerance above; ``on_line(off, span)``, the mask of a point at
+  distance ``off`` from a line, and ``span`` from the line's anchor, that
+  lies on the line within tolerance;
 - ``check(ok, error, message, *values)``, which fails where ``ok`` is
   false: over floats it raises ``error(message.format(*values))``; over
   arrays it only records where a height failed, and the run goes on (see
@@ -42,8 +53,8 @@ A namespace provides these methods; the primitives use nothing else of it:
 
 Its numbers support ``+``, ``-``, ``*``, ``/``, unary ``-``, ``abs`` and
 the comparisons ``<``, ``<=``, ``>``, ``==`` and ``!=``, which give masks;
-its masks support ``&`` and ``|``, and ``not_``. A Python float and bool
-are numbers and masks of ``FLOATS``.
+its masks support ``&`` and ``|``. A Python float and bool are numbers
+and masks of ``FLOATS``.
 
 All functions are pure and the value types are frozen, so instances can
 be shared freely between threads.
@@ -133,14 +144,6 @@ class _Value:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-# The kernel's relative/absolute tolerance pair. A quantity q at scale s
-# counts as zero when |q| <= max(_EPS_ABS, _EPS_REL * s): a point's offset
-# from a line, and the gap between a circle's squared radius and a line's
-# squared distance from its center.
-_EPS_REL = 1e-9
-_EPS_ABS = 1e-12
-
-
 class Point(_Value):
     """A labeled 2D coordinate in the canonical construction frame."""
 
@@ -210,6 +213,33 @@ def _check_finite(x: float, y: float) -> None:
         raise ValueError(_NOT_FINITE.format(x, y))
 
 
+_EPS_REL = 1e-9
+_EPS_ABS = 1e-12
+
+
+def _tolerance(maximum: Callable[[Any, Any], Any], not_: Callable[[Any], Any]) -> dict[str, Any]:
+    """A namespace's ``tangent`` and ``on_line``, over its own elementwise max and not.
+
+    The kernel's relative/absolute tolerance pair, read only here: a gap
+    between a circle's squared radius r² and a line's squared distance
+    from its centre counts as zero when |gap| <= max(_EPS_ABS, _EPS_REL·r²),
+    and a point's offset from a line when it is at most _EPS_REL·max(1, s),
+    s its distance from the line's anchor. That floor is at least 1e-9, so
+    _EPS_ABS would never raise it; r² can fall below 1e-3, so the band
+    keeps it.
+    """
+
+    def tangent(gap: Any, r2: Any) -> tuple[Any, Any]:
+        band = maximum(_EPS_ABS, _EPS_REL * r2)
+        return not_(gap < -band), gap <= band
+
+    def on_line(off: Any, span: Any) -> Any:
+        # Written so that a nan offset (an overflowing one) fails too.
+        return off <= _EPS_REL * maximum(1.0, span)
+
+    return {"tangent": tangent, "on_line": on_line}
+
+
 class _Namespace:
     """A numeric namespace: the methods the module docstring names, as attributes.
 
@@ -226,9 +256,8 @@ class _Namespace:
 FLOATS = _Namespace(
     sqrt=math.sqrt,
     hypot=math.hypot,
-    maximum=max,
     where=lambda condition, a, b: a if condition else b,
-    not_=operator.not_,
+    **_tolerance(max, operator.not_),
     check=_raise_unless,
     check_finite=_check_finite,
     constant=None,
@@ -311,19 +340,16 @@ def _perpendicular(ns: Any, at: Any, base: Any) -> tuple[Any, tuple[Any, Any]]:
     off_x, off_y = at[0] - ax, at[1] - ay
     # cross product against a unit direction = signed distance to the line
     off = abs(off_x * uy - off_y * ux)
-    span = ns.maximum(1.0, ns.hypot(off_x, off_y))
-    # Written so that a nan offset (an overflowing one) fails too.
-    on_line = off <= ns.maximum(_EPS_ABS, _EPS_REL * span)
-    ns.check(on_line, OffLineError, "point ({}, {}) does not lie on the base line", *at)
+    ns.check(ns.on_line(off, ns.hypot(off_x, off_y)), OffLineError, "point ({}, {}) does not lie on the base line", *at)
     # The base's unit direction, which its own line check passed, turned a quarter.
     return at, (-uy, ux)
 
 
 def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, Any, Any]:
-    """Where a circle meets a line: (missed, tangent, foot, low, high, low_last).
+    """Where a circle meets a line: (met, tangent, foot, low, high, low_last).
 
-    A tangent (within tolerance of the radius; it holds where they miss
-    too) touches at the foot; elsewhere they cross at ``low`` and ``high``.
+    A tangent (``ns.tangent``; it holds where they miss too) touches at
+    the foot; elsewhere they cross at ``low`` and ``high``.
     Sorted stably by (y, x), [low, high] ends with low only where ``low_last``.
     """
     (center_x, center_y), radius = circle
@@ -347,8 +373,7 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     h2 = hx * hx if upright and constant(hy) and not hy * hy else hx * hx + hy * hy
     r2 = radius * radius
     gap = r2 - h2
-    band = ns.maximum(_EPS_ABS, _EPS_REL * r2)
-    tangent = gap <= band
+    met, tangent = ns.tangent(gap, r2)
     half = ns.sqrt(ns.where(tangent, 0.0, gap))
     # half is +0 or positive and finite, or nan on a nan gap, where y is nan
     # and the returned point fails; so where ux is one exact zero, half*ux is
@@ -361,13 +386,13 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     # Where ux is one exact zero, the crossings' x, foot_x ∓ ux, are equal
     # (or nan) at every height, so low's x is never the greater: no tie breaks.
     low_last = low[1] > high[1] if upright else (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
-    return gap < -band, tangent, (foot_x, foot_y), low, high, low_last
+    return met, tangent, (foot_x, foot_y), low, high, low_last
 
 
 def _highest(ns: Any, circle: Any, line: Any, *miss: Any) -> tuple[Any, Any]:
     """The intersection point highest by (y, x); where none, ``ns.check(False, *miss)``."""
-    missed, tangent, foot, low, high, low_last = _circle_line(ns, circle, line)
-    ns.check(ns.not_(missed), *miss)
+    met, tangent, foot, low, high, low_last = _circle_line(ns, circle, line)
+    ns.check(met, *miss)
     x = ns.where(tangent, foot[0], ns.where(low_last, low[0], high[0]))
     y = ns.where(tangent, foot[1], ns.where(low_last, low[1], high[1]))
     # Only the point returned is checked. A finite foot and gap give |half| <=
@@ -413,10 +438,10 @@ def intersect_circle_line(circle: Circle, line: Line) -> list[Point]:
     of the radius), and an empty list when they do not meet.
     """
     center, anchor = circle.center, line.anchor
-    missed, tangent, foot, low, high, low_last = _circle_line(
+    met, tangent, foot, low, high, low_last = _circle_line(
         FLOATS, ((center.x, center.y), circle.radius), ((anchor.x, anchor.y), line.direction)
     )
-    if missed:
+    if not met:
         return []
     if tangent:
         return [Point(*foot)]

@@ -39,7 +39,6 @@ from typing import Any
 from .constructions import (
     _SWEEP_PROGRAMS,
     ApplicationKind,
-    ApplicationSpec,
     AreaFamily,
     ConstructionError,
     _given_coordinates,
@@ -231,10 +230,11 @@ def _sweep_family(kind: ConicKind, base_L: float, sample_range: SampleRange, lam
     """The area family of a sweep over ``sample_range``, whose application is valid at every height.
 
     The heights ascend from y_min > 0 to y_max, finite (``SampleRange``
-    rejects an infinite y_max) and inside the bounds checked here, so the
-    application's checks pass at every height if they pass at the first.
-    Both sweeps, ``sample_locus`` and ``_sample_locus_floats``, check their
-    heights here.
+    rejects an infinite y_max) and inside the bounds checked here, so each
+    passes ``ApplicationSpec``'s checks: 0 < y < inf, and b(y) > 0, since
+    b = L + k*y is positive (or +inf) for k >= 0 and, for the ellipse, at
+    least b(y_max) > 0. Both sweeps, ``sample_locus`` and
+    ``_sample_locus_floats``, check their heights here.
     """
     family = _family(kind, base_L, lam)
     if sample_range.y_min <= 0.0:
@@ -245,8 +245,6 @@ def _sweep_family(kind: ConicKind, base_L: float, sample_range: SampleRange, lam
             f"ellipse heights must stay below L/lambda = {-family.base_L / family.k}: "
             "the deficiency would consume the whole base"
         )
-    first = _grid_height(sample_range.y_min, sample_range._step(), 0)
-    ApplicationSpec(family.kind, family.base_L, first, family.lam)
     return family
 
 
@@ -278,10 +276,10 @@ def sample_locus(
     where E through I pass, so the pruned program fails at the same
     height, with the same error, as ``apply_*``. Where I passes, I =
     (a, 0) with a finite (I's point check) and positive: G off the foot
-    A lies √gap > 1e-6 above it (the tangent band is at least 1e-12),
-    and I carries |AG| along the base to rounding. So the line IH_line
-    through I perpendicular to AI, and the circle I_side of radius
-    |IA| = a, are well defined, and y is finite and positive. H and J
+    A lies √gap > 1e-6 above it (the band of the kernel's ``tangent`` is
+    at least 1e-12), and I carries |AG| along the base to rounding. So the
+    line IH_line through I perpendicular to AI, and the circle I_side of
+    radius |IA| = a, are well defined, and y is finite and positive. H and J
     lie on circles centred on I, the anchor of IH_line, so the squared
     distance h² of centre to line is 0: they never miss, and where
     r² = a² or y² overflows, the infinite band takes a tangent at the
@@ -298,8 +296,8 @@ def sample_locus(
     family = _sweep_family(kind, base_L, sample_range, lam)
     program = _SWEEP_PROGRAMS[family.kind]
     n = sample_range.n
-    hyperbola = kind is ConicKind.HYPERBOLA
-    # The hyperbola's x column holds both branches, the upper in its first n entries.
+    # The hyperbola's (k > 0) x column holds both branches, the upper in its first n entries.
+    hyperbola = family.k > 0.0
     x = np.empty(2 * n if hyperbola else n)
     sides = x[:n]
     # Silent, as in floats: the applied base L + k*y may overflow.

@@ -881,14 +881,14 @@ def test_the_circle_line_folds_give_the_float_bits(center_y, line):
     circle, arrays_line = ((cx, center_y_), radius), ((ax_, ay_), (ux_, uy_))
     run = _Run()
     with np.errstate(all="ignore"):
-        missed, tangent, foot, low, high, low_last = kernel._circle_line(run, circle, arrays_line)
+        met, tangent, foot, low, high, low_last = kernel._circle_line(run, circle, arrays_line)
         highest = kernel._highest(run, circle, arrays_line, GeometryError, "miss")
     float_circles = [((float(x), center_y), float(r)) for x, r in zip(cx, radius)]
     for i, float_circle in enumerate(float_circles):
         if not math.isfinite(cx[i]):
             continue
-        f_missed, f_tangent, f_foot, f_low, f_high, f_low_last = kernel._circle_line(FLOATS, float_circle, line)
-        for name, value, want in (("missed", missed, f_missed), ("tangent", tangent, f_tangent), ("low_last", low_last, f_low_last)):
+        f_met, f_tangent, f_foot, f_low, f_high, f_low_last = kernel._circle_line(FLOATS, float_circle, line)
+        for name, value, want in (("met", met, f_met), ("tangent", tangent, f_tangent), ("low_last", low_last, f_low_last)):
             assert bool(np.broadcast_to(value, (rows,))[i]) is bool(want), (name, i)
         got = [row_bits(c, rows)[i] for c in (*foot, low[1], high[1])]
         assert got == row_bits([*f_foot, f_low[1], f_high[1]], 4), i

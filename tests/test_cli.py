@@ -16,6 +16,9 @@ from areaconics.locus import (
     ConicKind,
     LocusSamples,
     SampleRange,
+    _sample_locus_floats,
+    conic_params,
+    fit_conic_oracle,
     mirror,
     read_locus_csv,
     sample_locus,
@@ -366,13 +369,19 @@ print(json.dumps(seen))
 def test_verbs_that_neither_sweep_nor_fit_never_load_numpy(tmp_path):
     points = tmp_path / "points.csv"
     points.write_text("x,y,branch\n2.0,1.0,upper\n-2.0,1.0,upper\n", encoding="utf-8")
+    hyperbola = str(tmp_path / "hyperbola.csv")
+    argv = ["locus", "--kind", "hyperbola", "--base", "2", "--lambda", "0.5", "--samples", "200", "--out", hyperbola]
+    assert run(argv) == 0
     verbs = [
-        ["construct", "--kind", "excess", "--base", "2", "--lambda", "1", "--height", "1",
-         "--trace", str(tmp_path / "trace.json"), "--svg", str(tmp_path / "diagram.svg")],
+        ["construct", "--kind", "excess", "--base", "2", "--lambda", lam, "--height", height,
+         "--trace", str(tmp_path / "trace.json"), "--svg", str(tmp_path / "diagram.svg")]
+        for lam, height in (("1", "1"), ("0.5", "1.5"))
+    ] + [
         ["solve", "--kind", "deficient", "--base", "4", "--lambda", "1", "--area", "3"],
         ["params", "--kind", "ellipse", "--base", "4", "--lambda", "0.75"],
         ["maxarea", "--base", "2", "--lambda", "1"],
         ["verify", "--points", str(points), "--kind", "parabola", "--base", "4", "--tol", "1e-9"],
+        ["verify", "--points", hyperbola, "--kind", "hyperbola", "--base", "2", "--lambda", "0.5", "--tol", "1e-9"],
     ] + [["figure", "--which", str(n), "--out", str(tmp_path / f"figure{n}.svg")] for n in range(1, 10)]
     assert json.loads(_fresh_python(_NUMPY_PROBE, json.dumps(verbs))) == []
 
@@ -534,3 +543,107 @@ def test_locus_takes_both_ends_of_the_height_range_or_neither(tmp_path, capsys, 
     assert run(argv) == 1
     assert capsys.readouterr().err == "areaconics: error: --y-min and --y-max must be given together\n"
     assert not csv_path.exists()
+
+
+# The console script's checks at the inputs the CI workflow gives it.
+CONSTRUCT_ARGS = {
+    "excess": ["--kind", "excess", "--base", "2", "--lambda", "0.5", "--height", "1.5"],
+    "exact": ["--kind", "exact", "--base", "4", "--height", "1.5"],
+    "deficient": ["--kind", "deficient", "--base", "4", "--lambda", "1", "--height", "1.5"],
+}
+
+
+@pytest.mark.parametrize("args", list(CONSTRUCT_ARGS.values()), ids=list(CONSTRUCT_ARGS))
+def test_constructs_trace_file_and_its_compact_rewrite_replay_to_the_printed_j(tmp_path, capsys, args):
+    trace_path = tmp_path / "trace.json"
+    assert run(["construct", *args, "--trace", str(trace_path)]) == 0
+    printed = [float(v).hex() for v in json.loads(capsys.readouterr().out)["J"]]
+    text = trace_path.read_text(encoding="utf-8")
+    # The indented file, decoded whole with every step built, reads as the
+    # same trace as its compact rewrite, which is the document json.dumps writes.
+    compact = ConstructionTrace.from_json(text).to_json()
+    assert compact == json.dumps(json.loads(text))
+    assert ConstructionTrace.from_json(text) == ConstructionTrace.from_json(compact)
+    for written in (text, compact):
+        J = replay_trace(ConstructionTrace.from_json(written))["J"]
+        assert [J.x.hex(), J.y.hex()] == printed
+
+
+@pytest.mark.parametrize(
+    "kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)]
+)
+@pytest.mark.parametrize("base", [1e-5, 1.0, 1e150])
+def test_each_locus_sweep_writes_the_other_sweeps_csv(tmp_path, kind, lam, base):
+    # At 300 samples the CLI sweeps over floats and writes sample_locus's CSV;
+    # above the cutoff its sample_locus writes the float sweep's. Default
+    # heights, which the first and last upper points give back.
+    cli_csv, api_csv = tmp_path / "cli.csv", tmp_path / "api.csv"
+    for n, other in ((300, sample_locus), (cli._FLOAT_SWEEP_MAX + 1, _sample_locus_floats)):
+        argv = ["locus", "--kind", kind.value, "--base", repr(base), "--samples", str(n), "--out", str(cli_csv)]
+        assert run(argv + (["--lambda", repr(lam)] if lam else [])) == 0
+        heights = [p.y for p in read_locus_csv(cli_csv)[:n]]
+        write_locus_csv(other(kind, base, SampleRange(heights[0], heights[-1], n), lam), api_csv)
+        assert cli_csv.read_bytes() == api_csv.read_bytes(), n
+
+
+def test_a_lower_branch_whose_heights_all_tie_above_the_cutoff_is_the_float_sweeps(tmp_path):
+    # Every reflected height rounds to -1e20: the lower branch comes from the
+    # stable sort, not the reversal, and the CSV is the float sweep's.
+    n = cli._FLOAT_SWEEP_MAX + 1
+    tied, floats = tmp_path / "tied.csv", tmp_path / "floats.csv"
+    argv = ["locus", "--kind", "hyperbola", "--base", "1", "--lambda", "1e-20", "--samples", str(n), "--out", str(tied)]
+    assert run(argv) == 0
+    points = read_locus_csv(tied)
+    heights = [p.y for p in points[:n]]
+    assert {p.y for p in points[n:]} == {-1e20}
+    sample_range = SampleRange(heights[0], heights[-1], n)
+    write_locus_csv(_sample_locus_floats(ConicKind.HYPERBOLA, 1.0, sample_range, 1e-20), floats)
+    assert tied.read_bytes() == floats.read_bytes()
+
+
+def test_a_locus_where_g_snaps_to_the_tangent_foot_fails_or_returns_a_true_x(tmp_path):
+    csv_path = tmp_path / "small.csv"
+    code = run(["locus", "--kind", "parabola", "--base", "1e-6", "--samples", "200", "--out", str(csv_path)])
+    assert code in (0, 1)
+    if code == 0:
+        xs = [p.x for p in read_locus_csv(csv_path)]
+        assert xs and 0.0 not in xs
+
+
+@pytest.fixture(scope="module")
+def big_loci(tmp_path_factory):
+    """The CLI's 20,000-sample ellipse and hyperbola CSVs (L = 2, lambda = 0.5, default heights), by kind."""
+    out = tmp_path_factory.mktemp("big_loci")
+    paths = {kind: str(out / f"{kind}.csv") for kind in ("ellipse", "hyperbola")}
+    for kind, path in paths.items():
+        argv = ["locus", "--kind", kind, "--base", "2", "--lambda", "0.5", "--samples", "20000", "--out", path]
+        assert run(argv) == 0
+    return paths
+
+
+def test_verify_prints_the_column_report_on_20000_samples_in_a_process_without_numpy(big_loci):
+    # verify loads no numpy and checks point by point; this process has loaded
+    # numpy and checks on columns, in blocks of 8,192 points. Both print the same JSON.
+    fresh = (
+        "import contextlib, io, json, sys, areaconics.cli\n"
+        "printed = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        printed.append([areaconics.cli.run(argv), out.getvalue()])\n"
+        "print(json.dumps([printed, 'numpy' in sys.modules]))\n"
+    )
+    argvs, expected = [], []
+    for kind, path in big_loci.items():
+        argvs.append(["verify", "--points", path, "--kind", kind, "--base", "2", "--lambda", "0.5", "--tol", "1e-9"])
+        report = verify_residuals(read_locus_csv(path), ConicKind(kind), 2.0, 0.5, 1e-9)
+        expected.append([0, json.dumps(report.to_json_dict()) + "\n"])
+    assert json.loads(_fresh_python(fresh, json.dumps(argvs))) == [expected, False]
+
+
+def test_the_fit_of_the_20000_sample_csvs_recovers_the_closed_form(big_loci):
+    # The fit reads 8,192 points at a time and keeps only the R factor of the
+    # rows so far: the ellipse's 20k points take 3 blocks, the hyperbola's 40k 5.
+    for kind, path in big_loci.items():
+        fitted = fit_conic_oracle(read_locus_csv(path))
+        expected = conic_params(ConicKind(kind), 2.0, 0.5).implicit_coefficients()
+        assert max(abs(a - b) for a, b in zip(fitted, expected)) <= 1e-6, (kind, fitted, expected)

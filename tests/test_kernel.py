@@ -1,4 +1,5 @@
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -270,7 +271,7 @@ def test_a_secant_whose_squares_overflow_fails_on_its_nan_points():
 
 # The methods that ``kernel``'s docstring says a namespace provides, and
 # the folds among them, which ``FLOATS`` sets to None.
-NAMESPACE_METHODS = ("sqrt", "hypot", "maximum", "where", "not_", "check", "check_finite", "constant", "axis")
+NAMESPACE_METHODS = ("sqrt", "hypot", "where", "tangent", "on_line", "check", "check_finite", "constant", "axis")
 FOLDS = ("constant", "axis")
 
 
@@ -288,6 +289,42 @@ def test_the_namespaces_hold_the_contract_and_nothing_more():
     assert sorted(vars(FLOATS)) == sorted(NAMESPACE_METHODS)
     # A run adds the two checks, and its mask, to the array methods.
     assert sorted(vars(ARRAYS)) == sorted(set(NAMESPACE_METHODS) - {"check", "check_finite"})
+
+
+def _inline_decisions(maximum, not_, gap, r2, off, span):
+    """The two decisions as the primitives once wrote them inline: (met, tangent, on_line)."""
+    band = maximum(_EPS_ABS, _EPS_REL * r2)
+    missed = gap < -band
+    return not_(missed), gap <= band, off <= maximum(_EPS_ABS, _EPS_REL * maximum(1.0, span))
+
+
+# ±0, subnormals, the smallest normal, each tolerance, ±1e300, ±inf and nan.
+DECISION_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-12, -1e-12, 1e-9, 1e-300, 1e300, -1e300]
+DECISION_VALUES += [1.0, math.inf, -math.inf, math.nan]
+decision_floats = st.one_of(st.sampled_from(DECISION_VALUES), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(decision_floats, decision_floats, decision_floats, decision_floats), min_size=1, max_size=8))
+def test_the_tolerance_decisions_keep_their_inline_bits(rows):
+    floats = [FLOATS.tangent(gap, r2) + (FLOATS.on_line(off, span),) for gap, r2, off, span in rows]
+    assert floats == [_inline_decisions(max, operator.not_, *row) for row in rows]
+    gap, r2, off, span = (np.array(column) for column in zip(*rows))
+    run = _Run()
+    with np.errstate(all="ignore"):
+        arrays = (*run.tangent(gap, r2), run.on_line(off, span))
+        inline = _inline_decisions(np.maximum, np.logical_not, gap, r2, off, span)
+    for got, want in zip(arrays, inline):
+        assert got.dtype == bool and got.tolist() == want.tolist()
+    # The run decides as floats do wherever the kernel can ask: r2 is the
+    # square of a radius that passed its check, so never nan, and span, the
+    # offset's norm, is nan only where the offset, and so off, is.
+    for i, (g, r, o, s) in enumerate(rows):
+        met, tangent, on_line = floats[i]
+        if not math.isnan(r):
+            assert (bool(arrays[0][i]), bool(arrays[1][i])) == (met, tangent), rows[i]
+        if not math.isnan(s) or math.isnan(o):
+            assert bool(arrays[2][i]) is on_line, rows[i]
 
 
 def test_the_float_finite_check_raises_points_error():

@@ -9,11 +9,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from areaconics.constructions import (
     ApplicationKind,
+    ApplicationSpec,
     ConstructionError,
     apply_deficient,
     apply_exact,
@@ -32,6 +33,7 @@ from areaconics.locus import (
     LocusSamples,
     SampleRange,
     VerificationReport,
+    _sweep_family,
     _worst_in_loop,
     _worst_on_columns,
     conic_params,
@@ -124,6 +126,39 @@ def test_lower_branch_ties_keep_x_ascending():
     assert list(points) == [LocusPoint(x, y, Branch.UPPER) for x, y in zip(xs, heights)] + [
         LocusPoint(x, -1e20, Branch.LOWER) for x in xs
     ]
+
+
+# Positive floats of every scale, and the values a sweep must reject.
+sweep_floats = st.one_of(
+    st.floats(5e-324, 1.7976931348623157e308),
+    st.sampled_from([0.0, -1.0, 5e-324, 1e-300, 1.0, 1e300, 1.7976931348623157e308, math.inf, math.nan]),
+)
+
+
+@st.composite
+def sweep_parameters(draw):
+    """A conic, L, lambda and a height range; the ellipse's top height is at times L/lambda or just below it."""
+    kind = draw(st.sampled_from(list(ConicKind)))
+    base, lam = draw(sweep_floats), draw(sweep_floats)
+    y_min, y_max = draw(sweep_floats), draw(sweep_floats)
+    if y_min > y_max:
+        y_min, y_max = y_max, y_min
+    if kind is ConicKind.ELLIPSE and lam > 0.0 and draw(st.booleans()):
+        y_max = base / lam
+        y_max = math.nextafter(y_max, -math.inf) if draw(st.booleans()) else y_max
+    return kind, base, None if kind is ConicKind.PARABOLA else lam, y_min, y_max
+
+
+@settings(max_examples=500, deadline=None)
+@given(sweep_parameters())
+def test_a_sweep_family_admits_an_application_at_both_ends_of_its_range(case):
+    kind, base, lam, y_min, y_max = case
+    try:
+        family = _sweep_family(kind, base, SampleRange(y_min, y_max, 2), lam)
+    except LocusError:
+        return
+    for y in (y_min, y_max):
+        ApplicationSpec(family.kind, family.base_L, y, family.lam)
 
 
 def test_sample_range_validation():
@@ -841,6 +876,12 @@ def test_a_fit_of_one_or_more_blocks_matches_the_svd_of_the_whole_matrix(kind, l
     assert fitted == pytest.approx(_full_svd_fit(points), abs=1e-12)
     # Columns are read in the same blocks as a list: the same fit, bit for bit.
     assert fit_conic_oracle(samples) == fitted
+
+
+def test_both_branches_of_a_20000_height_hyperbola_fit_as_their_list():
+    samples = sample_locus(ConicKind.HYPERBOLA, 2.0, SampleRange(0.1, 4.0, 20000), 0.5)
+    assert isinstance(samples, LocusSamples) and len(samples) == 40000
+    assert fit_conic_oracle(samples) == fit_conic_oracle(list(samples))
 
 
 @pytest.mark.parametrize("as_list", [False, True])
