@@ -21,19 +21,27 @@ a ray component that is one exact zero gives ``_extend`` its coordinate
 zero and a column of one sign gets the direction (±1.0, that zero)
 (AG_line's); on a line along y, the circle-line foot's t0 is cy*uy and
 the crossings' x is foot_x ∓ ux. ``where`` returns one constant that
-both sides hold bit for bit (G's x). Each fold's comment shows that
-wherever it gives another value than the float expression, a check fails
-at that height, with the fold and without it. Beside those, the kernel
+both sides hold bit for bit (G's x), and the side a constant condition
+chooses. On a line up along y (ux one exact zero, uy one +1.0) the
+lower crossing never comes last, so ``_circle_line`` returns the
+constant False for it, and where the foot's y is one +0.0, ``_highest``
+takes the upper crossing's y, half, which is +0.0 at a tangent (G's y).
+Each fold's comment shows that wherever it gives another value than the
+float expression, a check fails at that height, with the fold and
+without it. Beside those, the kernel
 skips operations that are exact identities at every height, nan and the
 signed zeros included: v - (+0.0) is v (``kernel._minus``: |AD|'s, |AG|'s
 and b's differences from A, the circle-line's cx and hx), a square plus
 a square that is one zero, half*(+1.0), ±0 + half where half is never
 -0.0, and the crossings' tie-break on a line along y, where their x are
 equal. So every value stays the float expression's, failing heights
-included. In a sweep of the pruned program a run, with its |AG|, makes
-43 / 53 / 53 array passes (parabola / ellipse / hyperbola), against
-54 / 65 / 65 before the identities (``BENCH_31.json``) and 108 / 135 /
-135 before the folds (``BENCH_29.json``); a test pins the count.
+included. ``kernel._circle`` checks a radius positive and finite as two
+checks with one message, as a run ANDs its masks anyway. In a sweep of
+the pruned program a run, with its |AG|, makes 39 / 49 / 49 array passes
+(parabola / ellipse / hyperbola), against 43 / 53 / 53 before the
+crossing choice was folded (``BENCH_33.json``), 54 / 65 / 65 before the
+identities (``BENCH_31.json``) and 108 / 135 / 135 before the folds
+(``BENCH_29.json``); a test pins the count and lists each pass.
 
 A run's checks do not stop it. Each check records its mask; where every
 height passes, one concatenation and one ``all`` over the masks show it,
@@ -46,16 +54,18 @@ At a height whose checks pass its
 values are the float run's, and a height fails a check in the run if
 and only if it fails in floats, so the lowest height the mask rejects is
 the first height that fails in floats; the error itself comes from one
-float run at that height (see ``execute_batched``). What a run computes
-past a failed check is discarded.
+float run at that height (see ``execute_batched``), which names the run's
+height on it as ``height_index``. What a run computes past a failed
+check is discarded.
 
 ``math.hypot`` and ``np.hypot`` may differ in the last bit; in the
 companion-square program every distance and ray norm has one zero
 component, where both are exact: hypot(x, ±0) is |x| (IEEE 754, C99
-F.9.4.3). ``ARRAYS.hypot`` takes that |x|, one ``np.abs``, where one
-component is zero in every row (a 0-d zero or an all-zero array), and
-``np.hypot`` otherwise. On a nan, ``np.abs`` clears the sign that
-``np.hypot`` keeps; only a failing height's values can hold a nan.
+F.9.4.3). ``ARRAYS.hypot`` takes that |x|, one ``np.abs`` (or a 0-d
+x's own ``abs()``), where one component is zero in every row (a 0-d zero
+or an all-zero array), and ``np.hypot`` otherwise. On a nan, ``np.abs``
+clears the sign that ``np.hypot`` keeps; only a failing height's values
+can hold a nan.
 
 Memory: a run allocates its columns afresh at every call, but the pages
 they take stay the process's between calls. Importing this module frees
@@ -104,10 +114,11 @@ np.empty(4 << 20, np.uint8)
 def _hypot(x: Any, y: Any) -> Any:
     # A component with no nonzero entry: hypot(v, ±0) is |v|. A 0-d test
     # is ~50 ns, where ``.any()`` even on a numpy scalar is a reduction, so
-    # a 0-d component is tested first.
+    # a 0-d component is tested first. A 0-d |v| is the scalar's own abs(),
+    # which gives np.abs's bits without a ufunc call.
     for zero, other in ((x, y), (y, x)) if y.ndim > x.ndim else ((y, x), (x, y)):
         if not (zero.any() if zero.ndim else zero):
-            return np.abs(other)
+            return np.abs(other) if other.ndim else abs(other)
     return np.hypot(x, y)
 
 
@@ -117,8 +128,11 @@ def _constant(v: Any) -> bool:
 
 
 def _where(condition: Any, a: Any, b: Any) -> Any:
-    # The same constant on both sides, bit for bit, is the choice at every
+    # A constant condition chooses the same side at every height, and the
+    # same constant on both sides, bit for bit, is the choice at every
     # height. Two nans are never ==, and np.where gives their bits.
+    if _constant(condition):
+        return a if condition else b
     if _constant(a) and _constant(b) and a == b and math.copysign(1.0, a) == math.copysign(1.0, b):
         return a
     return np.where(condition, a, b)
@@ -193,36 +207,48 @@ for _name, _method in vars(ARRAYS).items():
 del _name, _method
 
 
-def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dict[str, Any]:
+def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> list[Any]:
     """Run a compiled step program over arrays of given points, one entry per height.
 
     ``given`` maps the program's initial labels, in its order, to their
     (x, y): numpy arrays, or scalars where a coordinate is the same at
-    every height. Returns every labelled entity as the run computed it,
-    in the form ``given`` takes: a coordinate that varies with height is
-    an array of the run's length, a constant one a numpy scalar. On a
-    failure the run's mask gives the first failing height i, and height
-    i's given points, built as ``Point``s, are replayed over floats,
-    which raises that height's error, class and message.
+    every height. Returns every slot's value (``program.labels`` names
+    them) as the run computed it, in the form ``given`` takes: a
+    coordinate that varies with height is an array of the run's length, a
+    constant one a numpy scalar. On a failure the run's mask gives the
+    first failing height i, and height i's given points, built as
+    ``Point``s, are replayed over floats, which raises that height's
+    error, class and message, with ``height_index`` i. The caller holds
+    ``np.errstate(all="ignore")``, as a float run's errors are silent: a
+    sweep (``locus.sample_locus``) enters it once for all its blocks.
     """
-    # A numpy scalar, not a float: float division by zero raises, where
-    # numpy's follows the errstate below.
-    initial = [
-        (x if isinstance(x, np.ndarray) else np.float64(x), y if isinstance(y, np.ndarray) else np.float64(y))
-        for x, y in given.values()
-    ]
     run = _Run()
-    # The given points' finite check, once per column: in a sweep C, D and
-    # the applied corner C± share the heights array, and B± and C± the base b.
-    for column in {id(c): c for point in initial for c in point}.values():
+    # A numpy scalar, not a float: float division by zero raises, where
+    # numpy's follows the errstate. The given points' finite check, once per
+    # column (in a sweep C, D and the applied corner C± share the heights
+    # array, and B± and C± the base b), and in Python for the constants.
+    initial, columns, constants = [], {}, []
+    for x, y in given.values():
+        if isinstance(x, np.ndarray):
+            columns[id(x)] = x
+        else:
+            constants.append(x)
+            x = np.float64(x)
+        if isinstance(y, np.ndarray):
+            columns[id(y)] = y
+        else:
+            constants.append(y)
+            y = np.float64(y)
+        initial.append((x, y))
+    run.failed = not all(map(math.isfinite, constants))
+    for column in columns.values():
         run._finite(column)
-    with np.errstate(all="ignore"):
-        env = program.run(run, initial)
+    env = program.run(run, initial)
     # Where every check passes, one pass over all the masks shows it; the
     # per-height AND is built only to find the first failing height.
     masks = run.masks
     if not run.failed and (not masks or np.concatenate(masks).all()):
-        return dict(zip(program.labels, env))
+        return env
     ok = run.ok
     # No check fails at any height below i, and a height fails a check in
     # the run exactly where it fails one in floats (see the module
@@ -231,5 +257,9 @@ def execute_batched(program: _Program, given: dict[str, tuple[Any, Any]]) -> dic
     # ``Point`` raises it, the first in order, or a step's. A 0-d mask, from
     # checks on constants alone, fails at every height and gives i = 0.
     i = int(ok.argmin())
-    program.replay([Point(*(c[i] if c.ndim else c for c in point), label) for label, point in zip(given, initial)])
+    try:
+        program.replay([Point(*(c[i] if c.ndim else c for c in point), label) for label, point in zip(given, initial)])
+    except ValueError as exc:
+        exc.height_index = i  # type: ignore[attr-defined]
+        raise
     raise AssertionError(f"height {i} failed a batched check but passes the scalar construction")

@@ -13,12 +13,13 @@ import math
 import sys
 from pathlib import Path
 
-from .constructions import ApplicationKind, ApplicationSpec, _run_application, solve_height_for_area
+from .constructions import ApplicationKind, ApplicationSpec, _run_application, _step_note, solve_height_for_area
 from .figures import standard_figure, render_svg, scene_from_application
 from .locus import (
     ConicKind,
     SampleRange,
     _family,
+    _height_note,
     _sample_locus_floats,
     conic_params,
     max_applicable_area,
@@ -228,8 +229,18 @@ def run(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[args.verb](args)
     except (ValueError, OSError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+        print(f"{parser.prog}: error: {_error_text(exc)}", file=sys.stderr)
         return _EXIT_USAGE
+
+
+def _error_text(exc: Exception) -> str:
+    """The error's message, then the failing step and a sweep's height where the error carries them."""
+    parts = [str(exc)]
+    if hasattr(exc, "step"):
+        parts.append(_step_note(exc.step))
+    if hasattr(exc, "height"):
+        parts.append(_height_note(exc.height_index, exc.height))
+    return "; ".join(parts)
 
 
 def main() -> None:

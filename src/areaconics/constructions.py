@@ -331,11 +331,20 @@ class _Program(NamedTuple):
         program was compiled; the caller has checked the initial points:
         ``replay`` takes ``Point``s, ``_batched.execute_batched`` checks
         its given columns, and ``locus._sweep_floats`` each height's given
-        points. Each step checks the points it makes.
+        points. Each step checks the points it makes. A step that fails
+        raises its error with the step as its ``step`` attribute and, where
+        Python has notes (3.11+), a note naming it (``_step_note``).
         """
         env = list(initial)
-        for op in self.ops:
-            env.append(op(ns, env))
+        try:
+            for op in self.ops:
+                env.append(op(ns, env))
+        except ValueError as exc:
+            step = self.source[1][len(env) - len(initial)]
+            exc.step = step  # type: ignore[attr-defined]
+            if hasattr(exc, "add_note"):
+                exc.add_note(_step_note(step))
+            raise
         return env
 
     def replay(self, initial: Sequence[Point]) -> dict[str, Point]:
@@ -343,6 +352,11 @@ class _Program(NamedTuple):
         env = self.run(FLOATS, [(p.x, p.y) for p in initial])
         made = {label: Point(*env[slot], label) for slot, label in self.made}
         return {point.label: point for point in initial} | made
+
+
+def _step_note(step: ConstructionStep) -> str:
+    """The text that names a failing step: its output, op, inputs and citation."""
+    return f"at step {step.output!r} ({step.op.value} {', '.join(step.inputs)}; {step.citation})"
 
 
 # Compiles afresh on every call. The three kinds' programs are compiled once,

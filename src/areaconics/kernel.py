@@ -271,9 +271,15 @@ def _point(ns: Any, x: Any, y: Any) -> tuple[Any, Any]:
     return x, y
 
 
+_NOT_POSITIVE = "circle radius must be positive, got {}"
+
+
 def _circle(ns: Any, center: Any, radius: Any) -> tuple[Any, Any]:
-    positive = (radius > 0.0) & (radius < math.inf)  # a nan radius fails too
-    ns.check(positive, ValueError, "circle radius must be positive, got {}", radius)
+    # Two checks with one message: the first fails a nan radius too, so a
+    # float run raises what one check of both would, and a run ANDs its
+    # masks anyway.
+    ns.check(radius > 0.0, ValueError, _NOT_POSITIVE, radius)
+    ns.check(radius < math.inf, ValueError, _NOT_POSITIVE, radius)
     return center, radius
 
 
@@ -383,9 +389,17 @@ def _circle_line(ns: Any, circle: Any, line: Any) -> tuple[Any, Any, Any, Any, A
     high_y = half if upright and shift_y is half and constant(foot_y) and not foot_y else foot_y + shift_y
     low = (foot_x - shift_x, foot_y - shift_y)
     high = (foot_x + shift_x, high_y)
-    # Where ux is one exact zero, the crossings' x, foot_x ∓ ux, are equal
-    # (or nan) at every height, so low's x is never the greater: no tie breaks.
-    low_last = low[1] > high[1] if upright else (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
+    if upright and shift_y is half:
+        # A line up along y: low's y, foot_y - half, is never above high's,
+        # foot_y + half, as half is +0 or above or nan, rounding is monotone
+        # and a nan compares false. So low never comes last.
+        low_last = False
+    elif upright:
+        # Where ux is one exact zero, the crossings' x, foot_x ∓ ux, are equal
+        # (or nan) at every height, so low's x is never the greater: no tie breaks.
+        low_last = low[1] > high[1]
+    else:
+        low_last = (low[1] > high[1]) | ((low[1] == high[1]) & (low[0] > high[0]))
     return met, tangent, (foot_x, foot_y), low, high, low_last
 
 
@@ -394,7 +408,15 @@ def _highest(ns: Any, circle: Any, line: Any, *miss: Any) -> tuple[Any, Any]:
     met, tangent, foot, low, high, low_last = _circle_line(ns, circle, line)
     ns.check(met, *miss)
     x = ns.where(tangent, foot[0], ns.where(low_last, low[0], high[0]))
-    y = ns.where(tangent, foot[1], ns.where(low_last, low[1], high[1]))
+    # Over arrays low_last is the literal False only on a line up along y,
+    # where high's y is foot_y + half (or half itself where foot_y is ±0).
+    # At a tangent half is sqrt(+0.0) = +0.0, so where foot_y is one +0.0,
+    # high's y is foot's bit for bit there, and the tangent's choice is high's.
+    foot_y = foot[1]
+    if ns.constant and low_last is False and ns.constant(foot_y) and not foot_y and math.copysign(1.0, foot_y) > 0.0:
+        y = high[1]
+    else:
+        y = ns.where(tangent, foot_y, ns.where(low_last, low[1], high[1]))
     # Only the point returned is checked. A finite foot and gap give |half| <=
     # r < 1.4e154, under half an ulp of the largest float, so low and high are
     # non-finite only together, on a nan gap; an infinite gap misses or touches.

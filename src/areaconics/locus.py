@@ -143,6 +143,19 @@ class LocusSamples(Sequence[LocusPoint]):
             c.flags.writeable = False
         self.x, self.y, self.lower = columns
 
+    @classmethod
+    def _fresh(cls, x: Any, y: Any, lower: Any) -> LocusSamples:
+        """Samples over a sweep's own new columns, float, float and bool arrays of one length.
+
+        No one else holds them, so they are made read-only in place, without
+        ``__init__``'s conversions, views and shape checks.
+        """
+        samples = object.__new__(cls)
+        for c in (x, y, lower):
+            c.setflags(write=False)
+        samples.x, samples.y, samples.lower = x, y, lower
+        return samples
+
     def __len__(self) -> int:
         return len(self.x)
 
@@ -201,21 +214,13 @@ class SampleRange(_Value):
     def heights(self) -> list[float]:
         """The n heights y_min + i*step, the last one y_max exactly: the heights a sweep takes."""
         y_min, step = self.y_min, self._step()
-        values = [_grid_height(y_min, step, i) for i in range(self.n)]
+        values = [y_min + i * step for i in range(self.n)]
         values[-1] = self.y_max
         return values
 
     def _step(self) -> float:
         """The grid spacing; the last height, y_min + (n-1)*step, may round away from y_max."""
         return (self.y_max - self.y_min) / (self.n - 1)
-
-
-def _grid_height(y_min: float, step: float, index: Any) -> Any:
-    """The height y_min + i*step at grid index i.
-
-    Plain arithmetic, so ``index`` may be an int or a numpy array of them.
-    """
-    return y_min + index * step
 
 
 def _family(kind: ConicKind, base_L: float, lam: float | None) -> AreaFamily:
@@ -261,11 +266,15 @@ def sample_locus(
     its y is the input height. The construction's step program runs once
     per block of heights over arrays, and reproduces the per-height
     ``apply_*`` results bit for bit, failures included: an invalid height
-    raises what ``apply_*`` raises at the first failing height. For the
-    hyperbola the result also contains the lower-branch reflections
-    across the conjugate axis, appended after the upper block; each
-    block is ordered by ascending y. The points come back as columns, a
-    ``LocusSamples``.
+    raises what ``apply_*`` raises at the first failing height, with that
+    height's index and value as ``height_index`` and ``height`` (and the
+    failing step as ``step``, where a step failed). For the hyperbola the
+    result also contains the lower-branch reflections across the
+    conjugate axis, appended after the upper block; each block is ordered
+    by ascending y. The points come back as columns, a ``LocusSamples``,
+    whose x, y and ``lower`` are new read-only arrays. A block, with its
+    |AG|, makes 39 / 49 / 49 array passes (parabola / ellipse / hyperbola;
+    see ``_batched``).
 
     The sweep runs its kind's program pruned to G and I
     (``constructions._SWEEP_PROGRAMS``): E, F, EGB, AG_line, G and I, 6 of
@@ -295,6 +304,7 @@ def sample_locus(
 
     family = _sweep_family(kind, base_L, sample_range, lam)
     program = _SWEEP_PROGRAMS[family.kind]
+    a, g = program.labels.index("A"), program.labels.index("G")
     n = sample_range.n
     # The hyperbola's (k > 0) x column holds both branches, the upper in its first n entries.
     hyperbola = family.k > 0.0
@@ -302,13 +312,22 @@ def sample_locus(
     sides = x[:n]
     # Silent, as in floats: the applied base L + k*y may overflow.
     with np.errstate(all="ignore"):
-        heights = _grid_height(sample_range.y_min, sample_range._step(), np.arange(n))
+        # ``heights()``' bits: i is exact as a float below 2**53, and
+        # i*step + y_min is y_min + i*step.
+        heights = np.arange(n, dtype=float)
+        heights *= sample_range._step()
+        heights += sample_range.y_min
         heights[-1] = sample_range.y_max
         for start in range(0, n, _BLOCK):
-            env = execute_batched(program, _given_coordinates(family, heights[start : start + _BLOCK]))
-            sides[start : start + _BLOCK] = _distance(ARRAYS, env["A"], env["G"])
+            try:
+                env = execute_batched(program, _given_coordinates(family, heights[start : start + _BLOCK]))
+            except ValueError as exc:
+                i = start + exc.height_index  # type: ignore[attr-defined]
+                _name_height(exc, i, float(heights[i]))
+                raise
+            sides[start : start + _BLOCK] = _distance(ARRAYS, env[a], env[g])
     if not hyperbola:
-        return LocusSamples(x, heights, np.zeros(n, bool))
+        return LocusSamples._fresh(x, heights, np.zeros(n, bool))
     y = np.empty(2 * n)
     y[:n] = heights
     lower = np.zeros(2 * n, bool)
@@ -325,7 +344,7 @@ def sample_locus(
         reflected[:] = reflected[::-1][order]
     else:
         x[n:] = sides[::-1]
-    return LocusSamples(x, y, lower)
+    return LocusSamples._fresh(x, y, lower)
 
 
 def _sample_locus_floats(
@@ -344,24 +363,44 @@ def _sweep_floats(family: AreaFamily, heights: Sequence[float]) -> list[LocusPoi
     ``sample_locus`` sorts it, so the points are ``sample_locus``'s, in its
     order. Where a construction fails, the sweep raises what ``apply_*``
     raises at the first failing height: its first given point that is not
-    finite, as ``Point`` checks it, or its first failing step.
+    finite, as ``Point`` checks it, or its first failing step. As
+    ``sample_locus``, it names that height on the error (``_name_height``).
     """
     program = _SWEEP_PROGRAMS[family.kind]
     a, g = program.labels.index("A"), program.labels.index("G")
     check_finite, run = FLOATS.check_finite, program.run
-    upper = []
-    for y in heights:
-        given = list(_given_coordinates(family, y).values())
-        for point in given:
-            check_finite(*point)
-        env = run(FLOATS, given)
-        upper.append(LocusPoint(_distance(FLOATS, env[a], env[g]), y))
+    upper: list[LocusPoint] = []
+    try:
+        for y in heights:
+            given = list(_given_coordinates(family, y).values())
+            for point in given:
+                check_finite(*point)
+            env = run(FLOATS, given)
+            upper.append(LocusPoint(_distance(FLOATS, env[a], env[g]), y))
+    except ValueError as exc:
+        # Each height that passed added one point.
+        i = len(upper)
+        _name_height(exc, i, heights[i])
+        raise
     if family.k <= 0.0:
         return upper
     # Python's sort is stable, as ``sample_locus``'s argsort is.
     reflected = [family.reflect(y) for y in heights]
     order = sorted(range(len(reflected)), key=reflected.__getitem__)
     return upper + [LocusPoint(upper[i].x, reflected[i], Branch.LOWER) for i in order]
+
+
+def _height_note(index: int, height: float) -> str:
+    """The text that names a sweep's failing height."""
+    return f"at height {height!r} (index {index})"
+
+
+def _name_height(exc: ValueError, index: int, height: float) -> None:
+    """Put a sweep's failing height on its error: ``height_index`` and ``height``, and a note where Python has notes."""
+    exc.height_index = index  # type: ignore[attr-defined]
+    exc.height = height  # type: ignore[attr-defined]
+    if hasattr(exc, "add_note"):
+        exc.add_note(_height_note(index, height))
 
 
 def mirror(points: Sequence[LocusPoint]) -> list[LocusPoint]:
@@ -605,13 +644,13 @@ def _worst_on_columns(points: Iterable[LocusPoint], family: AreaFamily) -> tuple
     branches = family.k > 0.0
     max_residual = -1.0
     worst: LocusPoint | None = None
-    for block, start, x, y, lower in _column_blocks(points, branches):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        for block, start, x, y, lower in _column_blocks(points, branches):
             values = residual(x, np.where(lower, family.reflect(y), y) if branches else y)
-        i = int(values.argmax())
-        value = float(values[i])
-        if not value <= max_residual and max_residual == max_residual:
-            max_residual, worst = value, block[start + i]
+            i = int(values.argmax())
+            value = float(values[i])
+            if not value <= max_residual and max_residual == max_residual:
+                max_residual, worst = value, block[start + i]
     return max_residual, worst
 
 
@@ -629,15 +668,16 @@ def _column_blocks(points: Iterable[LocusPoint], branches: bool) -> Iterator[tup
     only if ``branches`` asks for it, and is None otherwise. The columns
     read from points are read-only.
     """
+    if isinstance(points, LocusSamples):
+        x, y, lower = points.x, points.y, points.lower
+        for start in range(0, len(x), _BLOCK):
+            stop = start + _BLOCK
+            yield points, start, x[start:stop], y[start:stop], lower[start:stop]
+        return
     import struct
 
     import numpy as np
 
-    if isinstance(points, LocusSamples):
-        for start in range(0, len(points), _BLOCK):
-            stop = start + _BLOCK
-            yield points, start, points.x[start:stop], points.y[start:stop], points.lower[start:stop]
-        return
     lower_branch = Branch.LOWER
     rest = iter(points)
     while block := list(islice(rest, _BLOCK)):

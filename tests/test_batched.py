@@ -15,8 +15,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from areaconics import constructions, kernel
-from areaconics._batched import ARRAYS, _Run, execute_batched
+from areaconics import _batched, constructions, kernel
+from areaconics._batched import ARRAYS, _Run
 from areaconics.constructions import (
     _PROGRAMS,
     _STEPS,
@@ -50,6 +50,12 @@ from areaconics.locus import (
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def execute_batched(program, given):
+    """``_batched.execute_batched``'s values by label, under the errstate a sweep runs it in."""
+    with np.errstate(all="ignore"):
+        return dict(zip(program.labels, _batched.execute_batched(program, given)))
+
+
 def apply(kind, base, lam, height):
     if kind is ConicKind.PARABOLA:
         return apply_exact(base, height)
@@ -65,6 +71,8 @@ def bits(x, y):
 def assert_same_error(raised, expected):
     assert type(raised) is type(expected)
     assert str(raised) == str(expected)
+    # The failing step, where a step failed, is named on both.
+    assert getattr(raised, "step", None) == getattr(expected, "step", None)
 
 
 def assert_parity(steps, given):
@@ -171,11 +179,12 @@ def test_sample_locus_raises_the_first_failing_applications_error(kind, base, la
 
 
 def sweep_or_error(sweep, kind, base, sample_range, lam):
-    """The sweep's points as (x bits, y bits, branch), or the class and message of its error."""
+    """The sweep's points as (x bits, y bits, branch), or its error: class, message, failing step and height."""
     try:
         points = sweep(kind, base, sample_range, lam)
     except ValueError as exc:
-        return type(exc), str(exc)
+        height = getattr(exc, "height", None)
+        return type(exc), str(exc), getattr(exc, "step", None), getattr(exc, "height_index", None), height and height.hex()
     return [(*bits(p.x, p.y), p.branch) for p in points]
 
 
@@ -236,6 +245,42 @@ def test_the_float_sweep_fails_as_sample_locus_fails(kind, base, lam, sample_ran
     expected = sweep_or_error(sample_locus, kind, base, sample_range, lam)
     assert isinstance(expected, tuple)
     assert sweep_or_error(_sample_locus_floats, kind, base, sample_range, lam) == expected
+
+
+_SWEEP_STEPS = {step.output: step for step in SWEEP_PROGRAMS[ApplicationKind.EXACT].source[1]}
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, sample_range, step, first",
+    [
+        # G snaps to the tangent foot A, and I's extension fails.
+        (ConicKind.PARABOLA, 1e-6, None, SampleRange(1e-8, 1.9e-6, 200), "I", 0),
+        # The same past the first block of heights.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(1.0, 4.5e9, 10_000), "I", _BLOCK),
+        # r² and h² overflow at the middle height, so G's gap is nan and G is not finite.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(1.0, 1e200, 3), "G", 1),
+        # A given point fails, B⁺ = (inf, 0), and no step does.
+        (ConicKind.HYPERBOLA, 1.0, 1e308, SampleRange(2.0, 3.0, 2), None, 0),
+    ],
+)
+def test_both_sweeps_name_the_failing_step_and_height(kind, base, lam, sample_range, step, first):
+    heights = sample_range.heights()
+    for sweep in (sample_locus, _sample_locus_floats):
+        with pytest.raises(ValueError) as caught:
+            sweep(kind, base, sample_range, lam)
+        exc = caught.value
+        assert exc.height_index >= first
+        assert exc.height.hex() == heights[exc.height_index].hex()
+        # The height is the first one whose application fails, with that error.
+        with pytest.raises(ValueError) as expected:
+            apply(kind, base, lam, exc.height)
+        assert_same_error(exc, expected.value)
+        assert getattr(exc, "step", None) is (step and _SWEEP_STEPS[step])
+        if sys.version_info >= (3, 11):
+            notes = [constructions._step_note(exc.step)] if step else []
+            assert exc.__notes__ == [*notes, f"at height {exc.height!r} (index {exc.height_index})"]
+    for y in heights[: exc.height_index]:
+        apply(kind, base, lam, y)
 
 
 def test_the_float_sweeps_lower_branch_keeps_tied_heights_in_ascending_x():
@@ -795,6 +840,38 @@ def test_array_hypot_takes_scalars_and_keeps_an_infinite_component():
     assert ARRAYS.hypot(np.array([math.inf, 3.0]), np.array([math.nan, 4.0])).tolist() == [math.inf, 5.0]
 
 
+@pytest.mark.parametrize("x, y", axis_rows([*AXIS_VALUES, math.nan, -math.nan]))
+def test_a_0d_array_hypot_is_np_abs_of_the_other_component_bit_for_bit(x, y):
+    # Both components 0-d and one a zero: the scalar's abs(), not a ufunc call.
+    other = np.float64(y if x == 0.0 else x)
+    got = ARRAYS.hypot(np.float64(x), np.float64(y))
+    assert type(got) is np.float64
+    assert got.tobytes() == np.abs(other).tobytes()
+    if not math.isnan(other):
+        assert got.tobytes() == np.hypot(np.float64(x), np.float64(y)).tobytes()
+
+
+def test_a_constant_condition_chooses_its_side_itself():
+    column, constant = np.array([1.0, -0.0, math.nan]), np.float64(-0.0)
+    for condition in (True, False, np.True_, np.False_):
+        for a, b in ((column, constant), (constant, column), (column, column[::-1])):
+            assert ARRAYS.where(condition, a, b) is (a if condition else b)
+
+
+def test_the_radius_checks_fail_the_rows_that_fail_in_floats():
+    # Two checks, one message: the run fails each row whose float circle
+    # raises, and the float message is the one a single check gave.
+    radii = [1.0, 5e-324, 1e308, 0.0, -0.0, -1.0, math.inf, -math.inf, math.nan]
+    run = _Run()
+    kernel._circle(run, (np.float64(0.0), np.float64(0.0)), np.array(radii))
+    assert run.ok.tolist() == [0.0 < r < math.inf for r in radii]
+    for r in radii[3:]:
+        with pytest.raises(ValueError) as caught:
+            kernel._circle(FLOATS, (0.0, 0.0), r)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == f"circle radius must be positive, got {r}"
+
+
 # Columns for the folds: signed zeros, subnormals, the least normal, finite
 # values of both signs, the largest, infinities and nans of both signs.
 FOLD_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5, -3.5, 1e308, -1e308, math.inf, -math.inf, math.nan, -math.nan]
@@ -913,6 +990,35 @@ def test_constant_crossings_tied_in_y_come_highest_by_x(direction):
     assert run.ok
 
 
+def test_G_at_tangent_rows_is_the_float_runs_bits():
+    # The L = 1e-6 parabola's low heights snap G to the tangent foot A; the
+    # run folds G's crossing choice to high's y, half, which is +0.0 there.
+    family = AreaFamily(ApplicationKind.EXACT, 1e-6)
+    program = _compile(*_PROGRAMS[ApplicationKind.EXACT].source, reads=("G",))
+    heights = SampleRange(1e-8, 1.9e-6, 200).heights()
+    # G's checks pass at every height, so the run returns.
+    g = execute_batched(program, _given_coordinates(family, np.array(heights)))["G"]
+    rows = len(heights)
+    expected = [program.run(FLOATS, list(_given_coordinates(family, y).values()))[-1] for y in heights]
+    assert [row_bits(c, rows) for c in g] == [row_bits([point[k] for point in expected], rows) for k in (0, 1)]
+    tangent = [point == (0.0, 0.0) for point in expected]
+    assert any(tangent) and not all(tangent)
+
+
+@pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.HYPERBOLA, 1e-190)])
+def test_a_nan_gap_row_fails_at_its_height_with_the_float_error(kind, lam):
+    # At y = 5e199 r² and h² both overflow, the gap is nan, and G is not finite.
+    kind_ = _APPLICATION_KIND[kind]
+    with np.errstate(all="ignore"):
+        given = _given_coordinates(AreaFamily(kind_, 1.0, lam), np.array([1.0, 5e199, 2.0]))
+    with pytest.raises(ValueError) as caught:
+        execute_batched(SWEEP_PROGRAMS[kind_], given)
+    with pytest.raises(ValueError) as expected:
+        apply(kind, 1.0, lam, 5e199)
+    assert_same_error(caught.value, expected.value)
+    assert caught.value.step.output == "G" and caught.value.height_index == 1
+
+
 def test_an_extension_that_underflows_to_minus_zero_is_not_folded():
     # dist·dx/norm underflows to -0.0 with every check passing; +0.0 + -0.0
     # is +0.0, so I's x must stay the sum, not the folded -0.0.
@@ -940,21 +1046,33 @@ def test_a_subclassed_column_is_a_column_to_every_fold():
     assert ARRAYS.axis(positive, np.float64(0.0)) == (1.0, 0.0)
 
 
-# Counts each ufunc and array-function call that reaches a column: every
-# array such a call returns is wrapped again, and operations between numpy
-# scalars, which touch no column, are not counted.
+# Records each ufunc and array-function call that reaches a column, by its
+# name and the package line that made it: every array such a call returns is
+# wrapped again, and operations between numpy scalars, which touch no
+# column, are not recorded.
 class _Counted(np.ndarray):
-    calls = 0
+    calls: list = []
 
     def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        _Counted.calls += 1
+        _Counted.calls.append(_made_by(ufunc.__name__ if method == "__call__" else f"{ufunc.__name__}.{method}"))
         result = getattr(ufunc, method)(*_plain(inputs), **_plain(kwargs))
         return result.view(_Counted) if isinstance(result, np.ndarray) and result.ndim else result
 
     def __array_function__(self, func, types, args, kwargs):
-        _Counted.calls += 1
+        _Counted.calls.append(_made_by(func.__name__))
         result = func(*_plain(args), **_plain(kwargs))
         return result.view(_Counted) if isinstance(result, np.ndarray) and result.ndim else result
+
+
+_PACKAGE = os.path.dirname(kernel.__file__)
+
+
+def _made_by(name):
+    """``name`` and the innermost line of the package on the stack, as "name module.py:line"."""
+    frame = sys._getframe(2)
+    while frame is not None and os.path.dirname(frame.f_code.co_filename) != _PACKAGE:
+        frame = frame.f_back
+    return f"{name} {os.path.basename(frame.f_code.co_filename)}:{frame.f_lineno}" if frame else f"{name} ?"
 
 
 def _plain(value):
@@ -967,16 +1085,17 @@ def _plain(value):
     return value
 
 
-@pytest.mark.parametrize("kind, lam, passes", [(ApplicationKind.EXACT, None, 43), (ApplicationKind.DEFICIENT, 0.5, 53), (ApplicationKind.EXCESS, 0.5, 53)])
+@pytest.mark.parametrize("kind, lam, passes", [(ApplicationKind.EXACT, None, 39), (ApplicationKind.DEFICIENT, 0.5, 49), (ApplicationKind.EXCESS, 0.5, 49)])
 def test_a_sweep_run_makes_its_pinned_number_of_array_passes(kind, lam, passes):
     # A sweep run of 1,000 heights and its |AG|: the given points, the six
     # steps, the mask reduction (a concatenation and an all) and |AG|. A
-    # change that adds a pass fails here; one that removes a pass lowers the pin.
+    # change that adds a pass fails here; one that removes a pass lowers the
+    # pin. The message lists the passes by ufunc and line, in run order.
     heights = np.linspace(0.1, 1.5, 1000).view(_Counted)
-    _Counted.calls = 0
+    _Counted.calls = []
     env = execute_batched(SWEEP_PROGRAMS[kind], _given_coordinates(AreaFamily(kind, 2.0, lam), heights))
     kernel._distance(ARRAYS, env["A"], env["G"])
-    assert _Counted.calls == passes
+    assert len(_Counted.calls) == passes, "\n".join(_Counted.calls)
 
 
 @pytest.mark.parametrize("program", ["full", "sweep"])
@@ -1024,6 +1143,18 @@ def test_a_given_point_that_no_step_reads_is_still_checked():
         execute_batched(_compile(tuple(given), steps), given)
     assert_same_error(caught.value, expected.value)
     assert str(caught.value) == "point coordinates must be finite, got (inf, 0.0)"
+    assert caught.value.height_index == 1
+
+
+def test_a_constant_given_point_that_no_step_reads_is_still_checked():
+    # Z is one infinite constant that feeds no step: it fails every height,
+    # so the first, in Python, without a numpy call.
+    given = {"A": (0.0, 0.0), "B": (np.array([2.0, 4.0]), 0.0), "Z": (math.inf, 0.0)}
+    steps = (step(StepOp.BISECT, ("A", "B"), "M"),)
+    with pytest.raises(ValueError) as caught:
+        execute_batched(_compile(tuple(given), steps), given)
+    assert str(caught.value) == "point coordinates must be finite, got (inf, 0.0)"
+    assert caught.value.height_index == 0
 
 
 # Minor faults of each sweep, in a fresh process: one whose allocator has

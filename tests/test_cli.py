@@ -71,6 +71,27 @@ def test_construct_infeasible_deficiency(capsys):
     assert "deficiency" in err
 
 
+def test_a_failing_construction_names_its_step(capsys):
+    assert run(["construct", "--kind", "exact", "--base", "1", "--height", "5e9"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "areaconics: error: extension distance must be positive, got 0.0; at step 'I' (Extend A, E, A, G; I.46)\n"
+    )
+
+
+@pytest.mark.parametrize("above", [0, 1])
+def test_a_failing_locus_names_its_step_and_height_on_each_side_of_the_float_sweep_cutoff(tmp_path, capsys, monkeypatch, above):
+    # G snaps to the tangent foot A at the first default height, 5e-8.
+    monkeypatch.setattr(cli, "_FLOAT_SWEEP_MAX", 200 - above)
+    argv = ["locus", "--kind", "parabola", "--base", "1e-6", "--samples", "200", "--out", str(tmp_path / "small.csv")]
+    assert run(argv) == 1
+    assert capsys.readouterr().err == (
+        "areaconics: error: extension distance must be positive, got 0.0; "
+        "at step 'I' (Extend A, E, A, G; I.46); at height 5e-08 (index 0)\n"
+    )
+
+
 def test_solve_roots(capsys):
     assert run(["solve", "--kind", "deficient", "--base", "4", "--lambda", "1", "--area", "3"]) == 0
     doc = json.loads(capsys.readouterr().out)

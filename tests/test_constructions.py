@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -30,7 +31,7 @@ from areaconics.constructions import (
     solve_height_for_area,
 )
 from areaconics import constructions
-from areaconics.kernel import Circle, GeometryError, Line, Point, distance, intersect_circle_line
+from areaconics.kernel import Circle, GeometryError, Line, OffLineError, Point, distance, intersect_circle_line
 
 
 def test_apply_exact_reference_case():
@@ -770,6 +771,70 @@ def test_canonical_steps_over_other_given_points_fail_as_compiled(kind, edit, me
         replay_trace(ConstructionTrace(given, _STEPS[kind]))
     assert type(caught.value) is MalformedTraceError
     assert str(caught.value) == message
+
+
+# One trace per op that can fail: its given points, and the steps after a
+# MarkSegment that passes, the last of which fails with this class and message.
+_FAILING_STEPS = {
+    "Extend": (
+        {"A": (0.0, 0.0), "B": (1.0, 0.0)},
+        ConstructionStep(StepOp.EXTEND, ("B", "A", "A", "A"), "E", "I.3"),
+        GeometryError,
+        "extension distance must be positive, got 0.0",
+    ),
+    "Bisect": (
+        {"A": (1e308, 0.0), "B": (1.7e308, 0.0)},
+        ConstructionStep(StepOp.BISECT, ("B", "A"), "F", "I.10"),
+        ValueError,
+        "point coordinates must be finite, got (inf, 0.0)",
+    ),
+    "DescribeCircle": (
+        {"A": (0.0, 0.0), "B": (1.0, 0.0)},
+        ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("B", "A", "A"), "K", "I.Def.18"),
+        ValueError,
+        "circle radius must be positive, got 0.0",
+    ),
+    "ErectPerpendicular": (
+        {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (0.0, 1.0)},
+        ConstructionStep(StepOp.ERECT_PERPENDICULAR, ("C", "A", "B"), "L", "I.11"),
+        OffLineError,
+        "point (0.0, 1.0) does not lie on the base line",
+    ),
+    "IntersectCircleLine": (
+        {"A": (0.0, 0.0), "B": (1.0, 0.0), "C": (3.0, 0.0)},
+        # The circle of radius |AB| = 1 about C = (3, 0) and the line x = 0.
+        (
+            ConstructionStep(StepOp.DESCRIBE_CIRCLE, ("C", "A", "B"), "K", "I.Def.18"),
+            ConstructionStep(StepOp.ERECT_PERPENDICULAR, ("A", "A", "B"), "L", "I.11"),
+            ConstructionStep(StepOp.INTERSECT_CIRCLE_LINE, ("K", "L"), "G", "II.14"),
+        ),
+        GeometricFailureError,
+        "step 'G': circle 'K' and line 'L' do not intersect",
+    ),
+}
+
+
+@pytest.mark.parametrize("op", list(_FAILING_STEPS))
+def test_a_failing_step_is_named_on_its_error(op):
+    given, failing, error, message = _FAILING_STEPS[op]
+    steps = (ConstructionStep(StepOp.MARK_SEGMENT, ("A", "B"), "AB", "Post.1"), *(failing if isinstance(failing, tuple) else (failing,)))
+    trace = ConstructionTrace([Point(x, y, label) for label, (x, y) in given.items()], steps)
+    with pytest.raises(ValueError) as caught:
+        replay_trace(trace)
+    assert type(caught.value) is error
+    assert str(caught.value) == message
+    assert caught.value.step is steps[-1]
+    assert steps[-1].op.value == op
+    if sys.version_info >= (3, 11):
+        assert caught.value.__notes__ == [constructions._step_note(steps[-1])]
+
+
+def test_a_failing_application_names_its_step():
+    with pytest.raises(GeometryError) as caught:
+        apply_exact(1, 5e9)
+    assert str(caught.value) == "extension distance must be positive, got 0.0"
+    assert caught.value.step is _STEPS[ApplicationKind.EXACT][6]
+    assert constructions._step_note(caught.value.step) == "at step 'I' (Extend A, E, A, G; I.46)"
 
 
 def _power_of_ten(exponent):

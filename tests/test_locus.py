@@ -22,6 +22,7 @@ from areaconics.constructions import (
     solve_height_for_area,
 )
 from areaconics.kernel import Point, distance
+from areaconics import locus
 from areaconics.locus import (
     _BLOCK,
     Branch,
@@ -195,6 +196,47 @@ def test_sweep_heights_are_the_grid_heights_bit_for_bit(seed):
             samples = sample_locus(kind, 1.0, sample_range, lam)
             y = samples.y[: sample_range.n]
             assert y.view(np.int64).tolist() == heights.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize(
+    "kind, base, lam, sample_range",
+    [
+        # Above one block of heights, where the sweep passes.
+        (ConicKind.PARABOLA, 1.0, None, SampleRange(0.1, 2.0, 3 * _BLOCK + 5)),
+        (ConicKind.HYPERBOLA, 1.0, 1.0, SampleRange(1e-3, 7.5, _BLOCK + 1)),
+        # Near both ends of the float range, where the construction fails
+        # (its squares under- or overflow): the heights it was given.
+        (ConicKind.PARABOLA, 1e-300, None, SampleRange(1e-300, 3.7e-300, 4099)),
+        (ConicKind.PARABOLA, 1e-300, None, SampleRange(5e-324, 2.2250738585072014e-308, 3)),
+        (ConicKind.PARABOLA, 1e300, None, SampleRange(1e300, 1.7e308, 6001)),
+        (ConicKind.HYPERBOLA, 1e300, 1.0, SampleRange(3e299, 1.1e300, 777)),
+    ],
+)
+def test_sweep_heights_are_the_grid_heights_bit_for_bit_at_any_size_and_scale(kind, base, lam, sample_range, monkeypatch):
+    # The heights each block of the sweep runs, or the heights of the first
+    # block where it fails, are ``heights()``' exactly.
+    blocks = []
+    given_coordinates = locus._given_coordinates
+    monkeypatch.setattr(locus, "_given_coordinates", lambda family, y: blocks.append(y.copy()) or given_coordinates(family, y))
+    heights = np.array(sample_range.heights())
+    try:
+        samples = sample_locus(kind, base, sample_range, lam)
+    except ValueError:
+        assert len(blocks) == 1 and sample_range.n <= _BLOCK
+    else:
+        assert samples.y[: sample_range.n].view(np.int64).tolist() == heights.view(np.int64).tolist()
+        assert len(blocks) == -(-sample_range.n // _BLOCK)
+    swept = np.concatenate(blocks)
+    assert swept.view(np.int64).tolist() == heights[: len(swept)].view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("kind, lam", [(ConicKind.PARABOLA, None), (ConicKind.ELLIPSE, 0.5), (ConicKind.HYPERBOLA, 0.5)])
+def test_a_sweeps_columns_are_read_only(kind, lam):
+    samples = sample_locus(kind, 2.0, SampleRange(0.1, 1.5, 20), lam)
+    for column, value in ((samples.x, 1.0), (samples.y, 1.0), (samples.lower, True)):
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = value
 
 
 def test_an_infinite_top_height_is_rejected_by_the_range():
